@@ -21,8 +21,8 @@ from .oracle import SearchBudget, area_exact
 from .rewriting import (
     DerivationSequence,
     GroupPresentation,
+    InternalCheckError,
     NotNullError,
-    find_relator_move,
     mirror_sequence,
     replay_sequence,
     reverse_sequence,
@@ -863,14 +863,15 @@ def _fill_inverse_core(model: BBModel, editor: WordEditor,
     residue = editor.word
     if not len(residue):
         return
-    assert len(residue) == 4, f"unexpected residue {residue}"
+    if len(residue) != 4:
+        raise InternalCheckError(f"unexpected residue {residue}")
     pair = Word((residue[0], residue[1]))
+    index = model.pres.relator_index
     for gen in model.pres.generators:
         for sign in (1, -1):
             cand = Letter(gen, sign)
-            try:
-                find_relator_move(model.pres, 0, pair, Word((cand,)))
-            except ValueError:
+            # pair -> cand is a relator move iff pair cand^-1 is indexed
+            if pair.letters + (cand.inverse(),) not in index:
                 continue
             editor.relator(0, pair, Word((cand,)))
             editor.relator(0, editor.word, EMPTY)
@@ -971,8 +972,11 @@ def rarea_sample(delta: FlagComplex, tree: SpanningTree, index_bound: int,
                 args = tuple(delta.letter_edge(l.gen) for l in rel.letters)
         seq = bb_relator_scheme(delta, tree, kind, args, n, model)
         acct = replay_sequence(pres, seq)
-        assert acct.endpoints[0] == ir.word, (kind, n, ir.word)
-        assert acct.endpoints[1] == EMPTY
+        if acct.endpoints != (ir.word, EMPTY):
+            raise InternalCheckError(
+                f"{kind} scheme at n={n} replays {acct.endpoints[0]} -> "
+                f"{acct.endpoints[1]}, not {ir.word} -> 1"
+            )
         row = {
             "index": ir.index,
             "family": ir.family,

@@ -18,6 +18,7 @@ from .rewriting import (
     DerivationSequence,
     FillingExpression,
     GroupPresentation,
+    InternalCheckError,
     contraction_moves,
     replay_sequence,
     sequence_to_expression,
@@ -29,7 +30,6 @@ from .words import (
     Word,
     charge,
     concat,
-    cyclic_conjugate,
     free_reduce,
 )
 
@@ -123,10 +123,13 @@ class _Clock:
 
 
 class _Coder:
-    """Pack letters into single characters for fast search-state handling."""
+    """Pack letters into single characters for fast search-state handling.
+
+    Holds every table a search needs for one presentation; ``_coder`` builds
+    it once per presentation, and no search mutates it.
+    """
 
     def __init__(self, pres: GroupPresentation):
-        self.pres = pres
         self.letters: List[Letter] = []
         self.index: Dict[Letter, int] = {}
         for gen in pres.generators:
@@ -137,26 +140,23 @@ class _Coder:
         self.inv = {}
         for let, i in self.index.items():
             self.inv[chr(i)] = chr(self.index[let.inverse()])
-        # insertions: every cyclic conjugate of every relator and inverse,
-        # reduced for searching, plus the ApplyRelator parameters of the
-        # corresponding split-0 move (which inserts the unreduced conjugate)
+        # insertions: every cyclic conjugate of every relator and inverse, in
+        # relator index order, reduced for searching, plus the ApplyRelator
+        # parameters of the corresponding split-0 move (which inserts the
+        # unreduced conjugate)
         self.insertions: List[Tuple[str, str, int, int, int]] = []
         seen = set()
-        for rel, base in enumerate(pres.relators):
-            n = len(base)
-            if n == 0:
+        for conj, (rel, sign, rot) in pres.relator_index.items():
+            full = self.encode(conj)
+            ins = self.reduce(full)
+            if not ins or ins in seen:
                 continue
-            for delta in (1, -1):
-                signed = base if delta > 0 else base.inverse()
-                for m in range(n):
-                    full = self.encode(cyclic_conjugate(signed, m))
-                    ins = self.reduce(full)
-                    if not ins or ins in seen:
-                        continue
-                    seen.add(ins)
-                    self.insertions.append((ins, full, rel, -delta, (n - m) % n))
+            seen.add(ins)
+            n = len(conj)
+            self.insertions.append((ins, full, rel, -sign, (n - rot) % n))
+        self.basis = _abelian_basis(pres)
 
-    def encode(self, w: Word) -> str:
+    def encode(self, w: Iterable[Letter]) -> str:
         return "".join(chr(self.index[let]) for let in w)
 
     def decode(self, s: str) -> Word:
@@ -227,6 +227,13 @@ def _abelian_basis(pres: GroupPresentation) -> List[List[int]]:
     return intlinalg.hermite_rows(rows)
 
 
+def _coder(pres: GroupPresentation) -> _Coder:
+    coder = pres._search_tables
+    if coder is None:
+        coder = pres._search_tables = _Coder(pres)
+    return coder
+
+
 def _abelian_vector(pres: GroupPresentation, w: Word) -> List[int]:
     pos = {g: i for i, g in enumerate(pres.generators)}
     vec = [0] * len(pres.generators)
@@ -246,7 +253,7 @@ def area_exact(
     sequence, which is replay-validated before being returned.
     """
     pres.check_word(w)
-    coder = _Coder(pres)
+    coder = _coder(pres)
     clock = _Clock(budget)
     cap = budget.length_cap(w, pres)
     start = coder.reduce(coder.encode(w))
@@ -256,7 +263,7 @@ def area_exact(
         return AreaResult("budget-exhausted", lower_bound=1, states=0)
     # quick necessary condition: the abelianized word must lie in the
     # relator lattice
-    if not intlinalg.in_lattice(_abelian_basis(pres), _abelian_vector(pres, w)):
+    if not intlinalg.in_lattice(coder.basis, _abelian_vector(pres, w)):
         return AreaResult("not-null-homotopic", states=0)
 
     dist = ({start: 0}, {"": 0})
@@ -281,7 +288,11 @@ def area_exact(
             moves.extend(coder.edge_moves(coder.decode(a), coder.decode(b)))
         seq = DerivationSequence(w, moves)
         acct = replay_sequence(pres, seq)
-        assert acct.endpoints[1] == EMPTY and acct.area == best[0]
+        if acct.endpoints[1] != EMPTY or acct.area != best[0]:
+            raise InternalCheckError(
+                f"area witness for {w} replays to {acct.endpoints[1]} "
+                f"with area {acct.area}, not to the empty word with area {best[0]}"
+            )
         return AreaResult("area", best[0], seq, best[0], len(dist[0]) + len(dist[1]))
 
     while True:
@@ -333,13 +344,13 @@ def find_filling(
     import heapq
 
     pres.check_word(w)
-    coder = _Coder(pres)
+    coder = _coder(pres)
     clock = _Clock(budget)
     cap = budget.length_cap(w, pres)
     start = coder.reduce(coder.encode(w))
     if start == "":
         return AreaResult("area", 0, DerivationSequence(w, contraction_moves(w)), 0, 1)
-    if not intlinalg.in_lattice(_abelian_basis(pres), _abelian_vector(pres, w)):
+    if not intlinalg.in_lattice(coder.basis, _abelian_vector(pres, w)):
         return AreaResult("not-null-homotopic", states=0)
     dist = {start: 0}
     parent: Dict[str, str] = {}
@@ -348,8 +359,6 @@ def find_filling(
         if len(dist) > budget.max_states or clock.expired():
             return AreaResult("budget-exhausted", lower_bound=1, states=len(dist))
         _, d, s = heapq.heappop(heap)
-        if d > dist.get(s, d):
-            continue
         for t in coder.successors(s, cap):
             if t in dist:
                 continue
@@ -365,7 +374,11 @@ def find_filling(
                     moves.extend(coder.edge_moves(coder.decode(a), coder.decode(b)))
                 seq = DerivationSequence(w, moves)
                 acct = replay_sequence(pres, seq)
-                assert acct.endpoints[1] == EMPTY
+                if acct.endpoints[1] != EMPTY:
+                    raise InternalCheckError(
+                        f"filling of {w} replays to {acct.endpoints[1]}, "
+                        "not to the empty word"
+                    )
                 return AreaResult("area", acct.area, seq, 0, len(dist))
             heapq.heappush(heap, (len(t), d + 1, t))
     return AreaResult("not-null-homotopic", states=len(dist))
@@ -398,8 +411,8 @@ def dehn_sample(
     class suffices), filters by the abelianized-relator lattice, and decides
     each survivor with area_exact.
     """
-    coder = _Coder(pres)
-    basis = _abelian_basis(pres)
+    coder = _coder(pres)
+    basis = coder.basis
     gens = list(pres.generators)
     pos = {g: i for i, g in enumerate(gens)}
     letters = list(range(len(coder.letters)))

@@ -9,7 +9,7 @@ converters between them preserve area and never increase heights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .words import (
     EMPTY,
@@ -40,6 +40,7 @@ __all__ = [
     "NotNullError",
     "BoundaryMismatchError",
     "InvalidSequenceError",
+    "InternalCheckError",
     "replay_sequence",
     "sequence_to_expression",
     "free_equality_sequence",
@@ -72,10 +73,19 @@ class InvalidSequenceError(ValueError):
     pass
 
 
+class InternalCheckError(RuntimeError):
+    """A check on a computed result failed: a defect in fillcalc, not bad
+    input.  Deliberately not a ValueError, which the CLI reports as usage."""
+
+
 class BoundaryMismatchError(ValueError):
     def __init__(self, discrepancy: Word):
         super().__init__(f"boundary mismatch, reduced discrepancy {discrepancy}")
         self.discrepancy = discrepancy
+
+
+# a cyclic conjugate, as a letter tuple, to its (relator, sign, rotation)
+RelatorIndex = Dict[Tuple[Letter, ...], Tuple[int, int, int]]
 
 
 class GroupPresentation:
@@ -83,9 +93,13 @@ class GroupPresentation:
 
     Relators may be non-reduced words.  ``max_relator_length`` is the constant
     usually written L.
+
+    A presentation is read-only after construction.  Its relator index (see
+    ``relator_index``) and the search tables of the ``oracle`` module are
+    built once, on first use, and shared by every later call.
     """
 
-    __slots__ = ("generators", "relators", "_move_cache")
+    __slots__ = ("generators", "relators", "_relator_index", "_search_tables")
 
     def __init__(self, generators: Iterable[str], relators: Iterable[Word] = ()):
         self.generators = tuple(dict.fromkeys(generators))
@@ -95,7 +109,26 @@ class GroupPresentation:
             extra = rel.generators() - gens
             if extra:
                 raise ValueError(f"relator {rel} uses unknown generators {sorted(extra)}")
-        self._move_cache = {}
+        self._relator_index: Optional[RelatorIndex] = None
+        # owned by the oracle module, which builds them on its first search
+        self._search_tables = None
+
+    @property
+    def relator_index(self) -> RelatorIndex:
+        """Every cyclic conjugate of every relator and relator inverse, as a
+        letter tuple, mapped to its first ``(rel, sign, rot)``: relators in
+        order, sign +1 before -1, rotations ascending.  This first-match
+        order keeps emitted sequences deterministic."""
+        index = self._relator_index
+        if index is None:
+            index = {}
+            for rel, base in enumerate(self.relators):
+                for sign in (1, -1):
+                    letters = (base if sign > 0 else base.inverse()).letters
+                    for rot in range(max(1, len(letters))):
+                        index.setdefault(letters[rot:] + letters[:rot], (rel, sign, rot))
+            self._relator_index = index
+        return index
 
     @property
     def max_relator_length(self) -> int:
@@ -359,7 +392,6 @@ def contraction_moves(w: Word) -> List[FreeContract]:
 
 def expansion_moves_for(w: Word) -> List[FreeExpand]:
     """Free expansions building w back up from its freely reduced form."""
-    contracts = contraction_moves(w)
     expands = []
     # undo contractions in reverse: a contract at p removing (x, x^-1)
     # reverses to an expand at p inserting that pair
@@ -392,28 +424,18 @@ def find_relator_move(
     """Resolve (rel, sign, rot, split) so the move rewrites replaced->replacement.
 
     Requires replaced * replacement^-1 to be a cyclic conjugate of a relator
-    or relator inverse; raises ValueError otherwise.
+    or relator inverse; raises ValueError otherwise.  When several match, the
+    first in ``relator_index`` order wins.
     """
-    key = (replaced.letters, replacement.letters)
-    cached = pres._move_cache.get(key)
-    if cached is not None:
-        rel, sign, rot = cached
-        return ApplyRelator(pos, rel, sign, rot, len(replaced))
-    target = concat(replaced, replacement.inverse())
-    n = len(target)
-    for rel, base in enumerate(pres.relators):
-        if len(base) != n:
-            continue
-        for sign in (1, -1):
-            signed = base if sign > 0 else base.inverse()
-            for rot in range(max(1, n)):
-                if cyclic_conjugate(signed, rot) == target:
-                    pres._move_cache[key] = (rel, sign, rot)
-                    return ApplyRelator(pos, rel, sign, rot, len(replaced))
-    raise ValueError(
-        f"no relator realizes {replaced} -> {replacement} "
-        f"(needs cyclic conjugate {target})"
-    )
+    target = replaced.letters + replacement.inverse().letters
+    found = pres.relator_index.get(target)
+    if found is None:
+        raise ValueError(
+            f"no relator realizes {replaced} -> {replacement} "
+            f"(needs cyclic conjugate {Word(target)})"
+        )
+    rel, sign, rot = found
+    return ApplyRelator(pos, rel, sign, rot, len(replaced))
 
 
 def sequence_to_expression(

@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from fillcalc import bestvina_brady
 from fillcalc.bestvina_brady import (
     BBModel,
     bb_indexed_families,
@@ -23,7 +25,7 @@ from fillcalc.bestvina_brady import (
 from fillcalc.oracle import SearchBudget, area_exact, dp_equal, raag_equal
 from fillcalc.oracle import DirectProductSpec
 from fillcalc.pulldown import compose_bounds, parse_bound
-from fillcalc.rewriting import replay_sequence
+from fillcalc.rewriting import InternalCheckError, replay_sequence
 from fillcalc.words import EMPTY, Letter, Word, concat, free_reduce, word
 
 
@@ -235,6 +237,29 @@ def test_rarea_sample_exact_entries():
     for row in rows:
         if row["exact"] is not None:
             assert row["exact"] <= row["upper"]
+
+
+def test_inverse_cycle_rejects_unexpected_residue(monkeypatch):
+    # unsorted pair blocks leave a residue longer than the four letters the
+    # closing relators expect
+    model = BBModel(K3, K3_TREE)
+    monkeypatch.setattr(model, "sort_block_pairs", lambda *args: 0)
+    cyc = (("a", "b"), ("b", "c"), ("c", "a"))
+    with pytest.raises(InternalCheckError):
+        bb_relator_scheme(K3, K3_TREE, "inverse-efg", cyc, 1, model)
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_rarea_sample_rejects_wrong_endpoints(monkeypatch, end):
+    def replay(pres, seq, theta=None):
+        acct = replay_sequence(pres, seq, theta)
+        endpoints = list(acct.endpoints)
+        endpoints[end] = concat(endpoints[end], word("a_b"))
+        return dataclasses.replace(acct, endpoints=tuple(endpoints))
+
+    monkeypatch.setattr(bestvina_brady, "replay_sequence", replay)
+    with pytest.raises(InternalCheckError):
+        rarea_sample(K3, K3_TREE, 0)
 
 
 def test_quartic_pipeline():

@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from fillcalc import oracle
 from fillcalc.oracle import (
     DirectProductSpec,
     MembershipUndecidableError,
@@ -18,7 +20,7 @@ from fillcalc.oracle import (
     raag_equal,
     raag_normal_form,
 )
-from fillcalc.rewriting import GroupPresentation, replay_sequence
+from fillcalc.rewriting import GroupPresentation, InternalCheckError, replay_sequence
 from fillcalc.words import (
     ChargeMap,
     Letter,
@@ -119,6 +121,30 @@ def test_find_filling_greedy():
     acct = replay_sequence(Z2, res.witness)
     assert acct.endpoints[1] == Word()
     assert acct.area >= 4
+
+
+def _skewed_replay(monkeypatch, **fields):
+    """Make the oracle's witness replay report the given wrong fields."""
+
+    def replay(pres, seq, theta=None):
+        return dataclasses.replace(replay_sequence(pres, seq, theta), **fields)
+
+    monkeypatch.setattr(oracle, "replay_sequence", replay)
+
+
+@pytest.mark.parametrize(
+    "fields", [{"endpoints": (Word(), word("x"))}, {"area": 2}], ids=["end", "area"]
+)
+def test_area_exact_rejects_bad_witness_replay(monkeypatch, fields):
+    _skewed_replay(monkeypatch, **fields)
+    with pytest.raises(InternalCheckError):
+        area_exact(Z2, word("x y x' y'"))
+
+
+def test_find_filling_rejects_bad_witness_replay(monkeypatch):
+    _skewed_replay(monkeypatch, endpoints=(Word(), word("x")))
+    with pytest.raises(InternalCheckError):
+        find_filling(Z2, word("x y x' y'"))
 
 
 def test_dehn_free_group():
