@@ -267,7 +267,7 @@ class SpanningTree:
         while len(up) > 1 and len(vp) > 1 and up[-2] == vp[-2]:
             up.pop()
             vp.pop()
-        while up[-1] != vp[-1]:
+        if up[-1] != vp[-1]:
             # distinct roots cannot happen in one tree
             raise AssertionError("disconnected tree")
         out = [(up[i], up[i + 1]) for i in range(len(up) - 1)]
@@ -320,16 +320,11 @@ def bb_indexed_families(
     if index_bound < 0:
         raise ValueError("index bound must be nonnegative")
     pres = dicks_leary_presentation(delta)
-    best: Dict[Word, IndexedRelator] = {}
-
-    def offer(w: Word, index: int, family: str, parameter) -> None:
-        old = best.get(w)
-        if old is None or index < old.index:
-            best[w] = IndexedRelator(w, index, family, parameter)
-
+    members: List[IndexedRelator] = []
     for n in range(-index_bound, index_bound + 1):
         for ridx, rel in enumerate(pres.relators):
-            offer(bb_phi(delta, tree, n, rel), abs(n), "base", (ridx, n))
+            image = bb_phi(delta, tree, n, rel)
+            members.append(IndexedRelator(image, abs(n), "base", (ridx, n)))
         for e in delta.directed_edges():
             gen = delta.edge_letter(e).gen
             target = concat(
@@ -338,8 +333,8 @@ def bb_indexed_families(
                     delta, tree, n, edge_conjugation_word(delta, tree, e)
                 ).inverse(),
             )
-            offer(target, abs(n), "stable", (gen, n))
-    return sorted(best.values(), key=lambda ir: (ir.index, str(ir.word)))
+            members.append(IndexedRelator(target, abs(n), "stable", (gen, n)))
+    return IndexedRelator.minimal(members)
 
 
 # ---------------------------------------------------------------------------
@@ -927,23 +922,13 @@ def _scheme_stable(model: BBModel, e: Edge, n: int) -> DerivationSequence:
 
     # word: P(i,n+1) e^{n+2} Q(t,n+1) Q(i,n+1)^-1 e^-1 P(i,n+1)^-1
     pos_q = d_i * span1 + span2 + d_t * span1
-    _convert_inverse_path(model, editor, pos_q, d_i * span1)
+    _convert_reverse_to_inverse(model, editor, pos_q, d_i * span1)
     model.rewrite_pair_to_edge_power(
         editor, d_i * span1 + span2, e, n + 1, inverted=False
     )
     editor.free_to(EMPTY)
     return editor.sequence()
 
-
-def _convert_inverse_path(model: BBModel, editor: WordEditor, pos: int,
-                          count: int) -> int:
-    """Turn an inverted reverse-path word Q(v,k)^-1 into the forward path
-    word P(v,k), one reverse-pair relator per letter."""
-    for i in range(count):
-        let = editor.word[pos + i]
-        u, v = model.delta.letter_edge(let.gen)
-        editor.relator(pos + i, Word((let,)), Word((Letter(f"{v}_{u}", -let.sign),)))
-    return count
 
 def rarea_sample(delta: FlagComplex, tree: SpanningTree, index_bound: int,
                  budget: Optional[SearchBudget] = None, exact: bool = False

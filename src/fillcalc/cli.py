@@ -56,7 +56,7 @@ def _digest(*paths: Optional[str]) -> List[str]:
     return out
 
 
-def _budget(args, length: Optional[int] = None) -> SearchBudget:
+def _budget(args) -> SearchBudget:
     return SearchBudget(
         max_word_length=args.budget_len,
         max_states=args.budget_states,
@@ -322,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="budget_states")
     parser.add_argument("--budget-len", type=int, default=None, dest="budget_len")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--json", help="write the JSON report to this path")
     parser.add_argument("--timing", action="store_true",
                         help="include wall-clock timing in the report")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import intlinalg
 from .intlinalg import NotSurjectiveError  # re-exported: raised by adapt_basis
@@ -288,17 +288,6 @@ class PositiveNormalFormData:
             if self.w_minus is not None and gen not in self.w_minus:
                 raise ValueError(f"missing negative conjugation word for {gen!r}")
 
-    def extension_presentation(self) -> GroupPresentation:
-        """The ambient presentation: base relators plus one stable-letter
-        relator per generator."""
-        t = word(self.stable)
-        relators = list(self.base.relators)
-        for gen in self.base.generators:
-            relators.append(
-                concat(t, word(gen), t.inverse(), self.w_plus[gen].inverse())
-            )
-        return GroupPresentation(self.base.generators + (self.stable,), relators)
-
     def shift(self, w: Word, k: int) -> Word:
         """The k-fold substitution lift of the conjugation automorphism."""
         if k == 0:
@@ -327,6 +316,17 @@ class IndexedRelator:
     family: str  # "base" (shifted base relator) or "stable" (shift mismatch)
     parameter: Tuple[str, int] | Tuple[int, int]
 
+    @staticmethod
+    def minimal(members: Iterable["IndexedRelator"]) -> List["IndexedRelator"]:
+        """One member per word, the first of least index, sorted by index and
+        then by word."""
+        best: Dict[Word, IndexedRelator] = {}
+        for ir in members:
+            old = best.get(ir.word)
+            if old is None or ir.index < old.index:
+                best[ir.word] = ir
+        return sorted(best.values(), key=lambda ir: (ir.index, str(ir.word)))
+
 
 def cyclic_infinite_presentation(
     data: PositiveNormalFormData, index_bound: int
@@ -343,23 +343,18 @@ def cyclic_infinite_presentation(
         raise MissingChoiceWordsError(
             "negative indices need the negative conjugation words"
         )
-    best: Dict[Word, IndexedRelator] = {}
-
-    def offer(w: Word, index: int, family: str, parameter) -> None:
-        old = best.get(w)
-        if old is None or index < old.index:
-            best[w] = IndexedRelator(w, index, family, parameter)
-
+    members: List[IndexedRelator] = []
     lo = -index_bound if data.w_minus is not None else 0
     for k in range(lo, index_bound + 1):
         for ridx, rel in enumerate(data.base.relators):
-            offer(data.shift(rel, k), abs(k), "base", (ridx, k))
+            shifted = data.shift(rel, k)
+            members.append(IndexedRelator(shifted, abs(k), "base", (ridx, k)))
         for gen in data.base.generators:
             target = concat(
                 data.shift(word(gen), k + 1), data.shift(data.w_plus[gen], k).inverse()
             )
-            offer(target, abs(k), "stable", (gen, k))
-    return sorted(best.values(), key=lambda ir: (ir.index, str(ir.word)))
+            members.append(IndexedRelator(target, abs(k), "stable", (gen, k)))
+    return IndexedRelator.minimal(members)
 
 
 # ---------------------------------------------------------------------------

@@ -132,11 +132,15 @@ class _Coder:
     def __init__(self, pres: GroupPresentation):
         self.letters: List[Letter] = []
         self.index: Dict[Letter, int] = {}
-        for gen in pres.generators:
+        # per code: the position of its generator and its sign, for
+        # abelianising encoded words
+        self.abelian: List[Tuple[int, int]] = []
+        for pos, gen in enumerate(pres.generators):
             for sign in (1, -1):
                 let = Letter(gen, sign)
                 self.index[let] = len(self.letters)
                 self.letters.append(let)
+                self.abelian.append((pos, sign))
         self.inv = {}
         for let, i in self.index.items():
             self.inv[chr(i)] = chr(self.index[let.inverse()])
@@ -154,13 +158,24 @@ class _Coder:
             seen.add(ins)
             n = len(conj)
             self.insertions.append((ins, full, rel, -sign, (n - rot) % n))
-        self.basis = _abelian_basis(pres)
+        self.basis = intlinalg.hermite_rows(
+            [self.abelian_vector(self.encode(rel)) for rel in pres.relators]
+        )
 
     def encode(self, w: Iterable[Letter]) -> str:
         return "".join(chr(self.index[let]) for let in w)
 
     def decode(self, s: str) -> Word:
         return Word(tuple(self.letters[ord(c)] for c in s))
+
+    def abelian_vector(self, s: str) -> List[int]:
+        """Exponent sum of each generator in an encoded word."""
+        abelian = self.abelian
+        vec = [0] * (len(self.letters) // 2)
+        for c in s:
+            pos, sign = abelian[ord(c)]
+            vec[pos] += sign
+        return vec
 
     def reduce(self, s: str) -> str:
         inv = self.inv
@@ -200,9 +215,8 @@ class _Coder:
                 if len(t) <= cap:
                     yield t
 
-    def edge_moves(self, src: Word, dst: Word) -> List:
-        """Explicit moves realizing one search edge src -> dst (reduced words)."""
-        s, d = self.encode(src), self.encode(dst)
+    def edge_moves(self, s: str, d: str) -> List:
+        """Explicit moves realizing one search edge s -> d (reduced, encoded)."""
         for ins, full, rel, sign, rot in self.insertions:
             for p in range(len(s) + 1):
                 if self.insert_reduce(s, p, ins) == d:
@@ -215,18 +229,6 @@ class _Coder:
         raise ValueError("states are not adjacent")
 
 
-def _abelian_basis(pres: GroupPresentation) -> List[List[int]]:
-    gens = list(pres.generators)
-    pos = {g: i for i, g in enumerate(gens)}
-    rows = []
-    for rel in pres.relators:
-        vec = [0] * len(gens)
-        for let in rel:
-            vec[pos[let.gen]] += let.sign
-        rows.append(vec)
-    return intlinalg.hermite_rows(rows)
-
-
 def _coder(pres: GroupPresentation) -> _Coder:
     coder = pres._search_tables
     if coder is None:
@@ -234,12 +236,37 @@ def _coder(pres: GroupPresentation) -> _Coder:
     return coder
 
 
-def _abelian_vector(pres: GroupPresentation, w: Word) -> List[int]:
-    pos = {g: i for i, g in enumerate(pres.generators)}
-    vec = [0] * len(pres.generators)
-    for let in w:
-        vec[pos[let.gen]] += let.sign
-    return vec
+def _chain(parent: Dict[str, str], s: str, root: str) -> List[str]:
+    """s, its parent, its parent's parent, and so on up to root."""
+    out = [s]
+    while out[-1] != root:
+        out.append(parent[out[-1]])
+    return out
+
+
+def _witnessed(
+    pres: GroupPresentation,
+    coder: _Coder,
+    w: Word,
+    path: List[str],
+    states: int,
+    area: Optional[int] = None,
+) -> AreaResult:
+    """The "area" result of a search path from w's reduced code to the empty
+    word.  Its witness is replayed, and must reach the empty word, with
+    exactly ``area`` relator applications when an area is claimed."""
+    moves = list(contraction_moves(w))
+    for a, b in zip(path, path[1:]):
+        moves.extend(coder.edge_moves(a, b))
+    seq = DerivationSequence(w, moves)
+    acct = replay_sequence(pres, seq)
+    if acct.endpoints[1] != EMPTY or area not in (None, acct.area):
+        claim = "" if area is None else f" with area {area}"
+        raise InternalCheckError(
+            f"witness for {w} replays to {acct.endpoints[1]} with area "
+            f"{acct.area}, not to the empty word{claim}"
+        )
+    return AreaResult("area", acct.area, seq, 0 if area is None else area, states)
 
 
 def area_exact(
@@ -263,7 +290,7 @@ def area_exact(
         return AreaResult("budget-exhausted", lower_bound=1, states=0)
     # quick necessary condition: the abelianized word must lie in the
     # relator lattice
-    if not intlinalg.in_lattice(coder.basis, _abelian_vector(pres, w)):
+    if not intlinalg.in_lattice(coder.basis, coder.abelian_vector(start)):
         return AreaResult("not-null-homotopic", states=0)
 
     dist = ({start: 0}, {"": 0})
@@ -273,27 +300,8 @@ def area_exact(
     best: Optional[Tuple[int, str]] = None
 
     def finish(meet: str) -> AreaResult:
-        fwd = []
-        s = meet
-        while s != start:
-            fwd.append(s)
-            s = parent[0][s]
-        path = [start] + fwd[::-1]
-        s = meet
-        while s != "":
-            s = parent[1][s]
-            path.append(s)
-        moves = list(contraction_moves(w))
-        for a, b in zip(path, path[1:]):
-            moves.extend(coder.edge_moves(coder.decode(a), coder.decode(b)))
-        seq = DerivationSequence(w, moves)
-        acct = replay_sequence(pres, seq)
-        if acct.endpoints[1] != EMPTY or acct.area != best[0]:
-            raise InternalCheckError(
-                f"area witness for {w} replays to {acct.endpoints[1]} "
-                f"with area {acct.area}, not to the empty word with area {best[0]}"
-            )
-        return AreaResult("area", best[0], seq, best[0], len(dist[0]) + len(dist[1]))
+        path = _chain(parent[0], meet, start)[::-1] + _chain(parent[1], meet, "")[1:]
+        return _witnessed(pres, coder, w, path, len(dist[0]) + len(dist[1]), best[0])
 
     while True:
         if best is not None and best[0] <= depth[0] + depth[1] + 1:
@@ -350,7 +358,7 @@ def find_filling(
     start = coder.reduce(coder.encode(w))
     if start == "":
         return AreaResult("area", 0, DerivationSequence(w, contraction_moves(w)), 0, 1)
-    if not intlinalg.in_lattice(coder.basis, _abelian_vector(pres, w)):
+    if not intlinalg.in_lattice(coder.basis, coder.abelian_vector(start)):
         return AreaResult("not-null-homotopic", states=0)
     dist = {start: 0}
     parent: Dict[str, str] = {}
@@ -365,21 +373,8 @@ def find_filling(
             dist[t] = d + 1
             parent[t] = s
             if t == "":
-                path = [t]
-                while path[-1] != start:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                moves = list(contraction_moves(w))
-                for a, b in zip(path, path[1:]):
-                    moves.extend(coder.edge_moves(coder.decode(a), coder.decode(b)))
-                seq = DerivationSequence(w, moves)
-                acct = replay_sequence(pres, seq)
-                if acct.endpoints[1] != EMPTY:
-                    raise InternalCheckError(
-                        f"filling of {w} replays to {acct.endpoints[1]}, "
-                        "not to the empty word"
-                    )
-                return AreaResult("area", acct.area, seq, 0, len(dist))
+                path = _chain(parent, t, start)[::-1]
+                return _witnessed(pres, coder, w, path, len(dist))
             heapq.heappush(heap, (len(t), d + 1, t))
     return AreaResult("not-null-homotopic", states=len(dist))
 
@@ -413,8 +408,6 @@ def dehn_sample(
     """
     coder = _coder(pres)
     basis = coder.basis
-    gens = list(pres.generators)
-    pos = {g: i for i, g in enumerate(gens)}
     letters = list(range(len(coder.letters)))
     inv = coder.inv
     best = 0
@@ -438,11 +431,7 @@ def dehn_sample(
             return DehnSample("budget-exhausted", words_checked=checked)
         if s and inv[s[0]] == s[-1]:
             continue  # not cyclically reduced
-        vec = [0] * len(gens)
-        for c in s:
-            let = coder.letters[ord(c)]
-            vec[pos[let.gen]] += let.sign
-        if not intlinalg.in_lattice(basis, vec):
+        if not intlinalg.in_lattice(basis, coder.abelian_vector(s)):
             continue
         key = _cyclic_key(s, inv)
         if key in seen:

@@ -9,12 +9,13 @@ converters between them preserve area and never increase heights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .words import (
     EMPTY,
     ChargeMap,
     Letter,
+    UnknownGeneratorError,
     Word,
     charge,
     concat,
@@ -39,7 +40,6 @@ __all__ = [
     "NotFreelyEqualError",
     "NotNullError",
     "BoundaryMismatchError",
-    "InvalidSequenceError",
     "InternalCheckError",
     "replay_sequence",
     "sequence_to_expression",
@@ -66,10 +66,6 @@ class NotFreelyEqualError(ValueError):
 
 
 class NotNullError(ValueError):
-    pass
-
-
-class InvalidSequenceError(ValueError):
     pass
 
 
@@ -174,6 +170,8 @@ RewriteMove = Union[FreeContract, FreeExpand, ApplyRelator]
 
 def _relator_halves(pres: GroupPresentation, move: ApplyRelator) -> Tuple[Word, Word]:
     """The (replaced, replacement) pair encoded by an ApplyRelator move."""
+    if not 0 <= move.rel < len(pres.relators):
+        raise ValueError("relator index out of range")
     base = pres.relators[move.rel]
     if move.sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -303,11 +301,26 @@ class Accounting:
     endpoints: Tuple[Word, Word]
 
 
+def _walk(
+    pres: GroupPresentation, seq: DerivationSequence
+) -> Iterator[Tuple[Word, RewriteMove, Word]]:
+    """Apply a sequence's moves in order, yielding (before, move, after) for
+    each; a move that does not apply raises MalformedMoveError."""
+    w = seq.start
+    for idx, move in enumerate(seq.moves):
+        try:
+            after = apply_move(pres, w, move)
+        except (ValueError, IndexError) as exc:
+            raise MalformedMoveError(idx, str(exc)) from exc
+        yield w, move, after
+        w = after
+
+
 def _relators_have_zero_charge(pres: GroupPresentation, theta: ChargeMap) -> bool:
     zero = (0,) * theta.rank
     try:
         return all(charge(theta, r) == zero for r in pres.relators)
-    except Exception:
+    except UnknownGeneratorError:
         return False
 
 
@@ -329,11 +342,7 @@ def replay_sequence(
         for i, h in enumerate(heights(theta, w)):
             best[i] = max(best[i], h)
     area = 0
-    for idx, move in enumerate(seq.moves):
-        try:
-            w = apply_move(pres, w, move)
-        except (ValueError, IndexError) as exc:
-            raise MalformedMoveError(idx, str(exc)) from exc
+    for _, move, w in _walk(pres, seq):
         if isinstance(move, ApplyRelator):
             area += 1
         if track:
@@ -346,16 +355,6 @@ def replay_sequence(
         heights=tuple(best) if track else None,
         endpoints=(seq.start, w),
     )
-
-
-def replay_final(pres: GroupPresentation, seq: DerivationSequence) -> Word:
-    w = seq.start
-    for idx, move in enumerate(seq.moves):
-        try:
-            w = apply_move(pres, w, move)
-        except (ValueError, IndexError) as exc:
-            raise MalformedMoveError(idx, str(exc)) from exc
-    return w
 
 
 def validate_expression(
@@ -449,8 +448,7 @@ def sequence_to_expression(
     decompositions exist the first (current-word) one is chosen.
     """
     terms: List[Tuple[Word, int, int]] = []
-    w = seq.start
-    for idx, move in enumerate(seq.moves):
+    for w, move, _ in _walk(pres, seq):
         if isinstance(move, ApplyRelator):
             base = pres.relators[move.rel]
             signed = base if move.sign > 0 else base.inverse()
@@ -461,20 +459,35 @@ def sequence_to_expression(
             else:
                 conj = concat(alpha, p.inverse())
             terms.append((conj, move.rel, move.sign))
-        try:
-            w = apply_move(pres, w, move)
-        except (ValueError, IndexError) as exc:
-            raise InvalidSequenceError(f"move {idx}: {exc}") from exc
     return FillingExpression(terms)
 
 
-def _word_chain(pres: GroupPresentation, seq: DerivationSequence) -> List[Word]:
-    chain = [seq.start]
+def _mirror(
+    pres: GroupPresentation, seq: DerivationSequence
+) -> Tuple[DerivationSequence, Word]:
+    """The mirror of a sequence (see ``mirror_sequence``) and the sequence's
+    final word, from one walk."""
+    moves: List[RewriteMove] = []
     w = seq.start
-    for move in seq.moves:
-        w = apply_move(pres, w, move)
-        chain.append(w)
-    return chain
+    for before, move, w in _walk(pres, seq):
+        n = len(before)
+        if isinstance(move, FreeContract):
+            moves.append(FreeContract(n - move.pos - 2))
+        elif isinstance(move, FreeExpand):
+            moves.append(FreeExpand(n - move.pos, move.letter))
+        else:
+            # the replaced half has split letters, the replacement m - split
+            m = len(pres.relators[move.rel])
+            moves.append(
+                ApplyRelator(
+                    pos=n - move.pos - move.split,
+                    rel=move.rel,
+                    sign=-move.sign,
+                    rot=(2 * m - move.split - move.rot) % max(1, m),
+                    split=move.split,
+                )
+            )
+    return DerivationSequence(seq.start.inverse(), moves), w
 
 
 def mirror_sequence(
@@ -483,27 +496,7 @@ def mirror_sequence(
     """Word-wise inversion: converts the inverse of the start word to the
     inverse of the final word, move by move, with the same area.  Height
     equality is only meaningful when every chain word has zero charge."""
-    chain = _word_chain(pres, seq)
-    moves: List[RewriteMove] = []
-    for before, move in zip(chain, seq.moves):
-        n = len(before)
-        if isinstance(move, FreeContract):
-            moves.append(FreeContract(n - move.pos - 2))
-        elif isinstance(move, FreeExpand):
-            moves.append(FreeExpand(n - move.pos, move.letter))
-        else:
-            replaced, replacement = _relator_halves(pres, move)
-            m = len(pres.relators[move.rel])
-            moves.append(
-                ApplyRelator(
-                    pos=n - move.pos - len(replaced),
-                    rel=move.rel,
-                    sign=-move.sign,
-                    rot=(len(replacement) + m - move.rot) % max(1, m),
-                    split=len(replaced),
-                )
-            )
-    return DerivationSequence(seq.start.inverse(), moves)
+    return _mirror(pres, seq)[0]
 
 
 def invert_sequence(
@@ -511,25 +504,24 @@ def invert_sequence(
 ) -> DerivationSequence:
     """Mirror of a null sequence: fills the inverse word with the same area
     and the same heights (valid since every chain word has zero charge)."""
-    final = replay_final(pres, seq)
+    mirrored, final = _mirror(pres, seq)
     if len(free_reduce(final)):
         raise NotNullError("sequence does not end at the empty word")
-    return mirror_sequence(pres, seq)
+    return mirrored
 
 
 def reverse_sequence(
     pres: GroupPresentation, seq: DerivationSequence
 ) -> DerivationSequence:
     """Time reversal: a sequence converting tau' back to tau, same area."""
-    chain = _word_chain(pres, seq)
     moves: List[RewriteMove] = []
-    for before, move in reversed(list(zip(chain, seq.moves))):
+    w = seq.start
+    for before, move, w in _walk(pres, seq):
         if isinstance(move, FreeContract):
             moves.append(FreeExpand(move.pos, before[move.pos]))
         elif isinstance(move, FreeExpand):
             moves.append(FreeContract(move.pos))
         else:
-            replaced, replacement = _relator_halves(pres, move)
             m = len(pres.relators[move.rel])
             moves.append(
                 ApplyRelator(
@@ -537,10 +529,10 @@ def reverse_sequence(
                     rel=move.rel,
                     sign=-move.sign,
                     rot=(m - move.rot) % max(1, m),
-                    split=len(replacement),
+                    split=m - move.split,
                 )
             )
-    return DerivationSequence(chain[-1], moves)
+    return DerivationSequence(w, moves[::-1])
 
 
 def splice_sequence(seq: DerivationSequence, offset: int) -> Tuple[RewriteMove, ...]:

@@ -105,12 +105,6 @@ class Word:
     def generators(self) -> frozenset:
         return frozenset(let.gen for let in self.letters)
 
-    def is_reduced(self) -> bool:
-        return all(
-            a.gen != b.gen or a.sign == b.sign
-            for a, b in zip(self.letters, self.letters[1:])
-        )
-
     def __str__(self) -> str:
         if not self.letters:
             return EMPTY_WORD_TOKEN

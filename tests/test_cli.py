@@ -92,6 +92,19 @@ def test_verify_scheme(z2, tmp_path):
     assert json.loads(out.read_text())["verdicts"]["total_area"] == 5
 
 
+def test_verify_scheme_rejects_negative_relator_index(z2, tmp_path):
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps({"rows": [{"word": "x y x' y'", "area": 1}]}))
+    sequences = tmp_path / "sequences.json"
+    move = {"op": "relator", "pos": 0, "rel": -1, "sign": 1, "rot": 0, "split": 4}
+    sequences.write_text(json.dumps([{"start": "x y x' y'", "moves": [move]}]))
+    code = main(
+        ["verify-scheme", "--presentation", z2, "--scheme", str(scheme),
+         "--sequences", str(sequences)]
+    )
+    assert code == 2
+
+
 def test_pulldown_and_flatten(capsys):
     assert main(["pulldown", "--k", "1", "--h", "0", "--word", "e1_2"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "e1_2 e1_1'"

@@ -18,6 +18,7 @@ from fillcalc.rewriting import (
     find_relator_move,
     free_equality_sequence,
     invert_sequence,
+    mirror_sequence,
     replay_sequence,
     reverse_sequence,
     sequence_to_expression,
@@ -25,6 +26,7 @@ from fillcalc.rewriting import (
     validate_expression,
     verify_scheme,
 )
+from fillcalc import rewriting
 from fillcalc.oracle import SearchBudget
 from fillcalc.words import ChargeMap, Letter, Word, commutator, concat, free_reduce, word
 
@@ -77,6 +79,32 @@ def test_replay_rejects_malformed_moves():
         )
 
 
+# each follows a valid free expansion, so it is move 1 of its sequence; the
+# relator moves sit where relator 0 would match, so only the index is wrong
+# (-1 must not wrap round to the last relator)
+BAD_MOVES = {
+    "position": ApplyRelator(9, 0, 1, 0, 4),
+    "relator": ApplyRelator(2, 1, 1, 0, 4),
+    "negative-relator": ApplyRelator(2, -1, 1, 0, 4),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_MOVES))
+@pytest.mark.parametrize(
+    "convert",
+    [replay_sequence, sequence_to_expression, mirror_sequence, reverse_sequence,
+     invert_sequence],
+    ids=lambda f: f.__name__,
+)
+def test_converters_report_bad_move(convert, bad):
+    seq = DerivationSequence(
+        word("x y x' y'"), (FreeExpand(0, Letter("x", 1)), BAD_MOVES[bad])
+    )
+    with pytest.raises(MalformedMoveError) as info:
+        convert(Z2, seq)
+    assert info.value.index == 1
+
+
 def test_replay_heights_tracked():
     theta = ChargeMap(1, {"x": (1,), "y": (0,)})
     seq = DerivationSequence(word("x x x' x'"), (FreeContract(1), FreeContract(0)))
@@ -90,6 +118,19 @@ def test_replay_heights_undefined_for_charged_relators():
     seq = DerivationSequence(word("x x"), (ApplyRelator(0, 0, 1, 0, 2),))
     acct = replay_sequence(pres, seq, theta)
     assert acct.heights is None
+
+
+def test_replay_heights_unknown_only_for_unknown_generators(monkeypatch):
+    seq = DerivationSequence(word("x x'"), (FreeContract(0),))
+    # y has no charge, so the relator's charge is unknown
+    assert replay_sequence(Z2, seq, ChargeMap(1, {"x": (1,)})).heights is None
+
+    def broken(theta, w):
+        raise ZeroDivisionError("defect in charge")
+
+    monkeypatch.setattr(rewriting, "charge", broken)
+    with pytest.raises(ZeroDivisionError):
+        replay_sequence(Z2, seq, ChargeMap(1, {"x": (1,), "y": (0,)}))
 
 
 def test_area_additive_over_concatenation():
