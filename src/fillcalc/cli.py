@@ -3,7 +3,8 @@
 Every command assembles a machine-readable report (version 1); with a fixed
 seed the report is byte-identical across runs, so timing is only recorded on
 request.  Exit codes: 0 all verdicts pass, 1 a verification failed, 2 usage
-error, 3 a search budget was exhausted.
+error, 3 a search budget was exhausted, 4 an internal check failed (a defect
+in fillcalc, not in the input).
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ from .oracle import (
     distortion_sample,
 )
 from .pulldown import compose_bounds, flatten_word, parse_bound, phi, standard_context
-from .rewriting import verify_scheme
+from .rewriting import InternalCheckError, verify_scheme
 from .words import free_reduce, word
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _digest(*paths: Optional[str]) -> List[str]:
@@ -424,6 +426,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command]()
+    except InternalCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -145,10 +145,12 @@ class _Coder:
         for let, i in self.index.items():
             self.inv[chr(i)] = chr(self.index[let.inverse()])
         # insertions: every cyclic conjugate of every relator and inverse, in
-        # relator index order, reduced for searching, plus the ApplyRelator
-        # parameters of the corresponding split-0 move (which inserts the
-        # unreduced conjugate)
-        self.insertions: List[Tuple[str, str, int, int, int]] = []
+        # relator index order, reduced for searching; its letter-by-letter
+        # inverse ("anti": s[p - 1] == anti[0] cancels the insertion's first
+        # letter, s[p] == anti[-1] its last); and the ApplyRelator parameters
+        # of the corresponding split-0 move (which inserts the unreduced
+        # conjugate)
+        self.insertions: List[Tuple[str, str, str, int, int, int]] = []
         seen = set()
         for conj, (rel, sign, rot) in pres.relator_index.items():
             full = self.encode(conj)
@@ -156,8 +158,9 @@ class _Coder:
             if not ins or ins in seen:
                 continue
             seen.add(ins)
+            anti = "".join(self.inv[c] for c in ins)
             n = len(conj)
-            self.insertions.append((ins, full, rel, -sign, (n - rot) % n))
+            self.insertions.append((ins, anti, full, rel, -sign, (n - rot) % n))
         self.basis = intlinalg.hermite_rows(
             [self.abelian_vector(self.encode(rel)) for rel in pres.relators]
         )
@@ -187,45 +190,64 @@ class _Coder:
                 out.append(c)
         return "".join(out)
 
-    def insert_reduce(self, s: str, p: int, ins: str) -> str:
-        """reduce(s[:p] + ins + s[p:]) for reduced s and ins, by cancelling
-        only at the junctions (free reduction is confluent)."""
-        inv = self.inv
-        i, j = p, 0
-        while i > 0 and j < len(ins) and s[i - 1] == inv[ins[j]]:
-            i -= 1
-            j += 1
-        k, j2 = p, len(ins)
-        while k < len(s) and j2 > j and s[k] == inv[ins[j2 - 1]]:
-            k += 1
-            j2 -= 1
-        if j2 > j:
-            return s[:i] + ins[j:j2] + s[k:]
-        a, b = i, k
-        while a > 0 and b < len(s) and s[a - 1] == inv[s[b]]:
-            a -= 1
-            b += 1
-        return s[:a] + s[b:]
+    def moves(self, s: str, cap: int) -> Iterable[Tuple[str, Tuple, int]]:
+        """Every search edge (t, insertion, p) out of the reduced state s with
+        len(t) <= cap, where t = reduce(s[:p] + full + s[p:]) for the
+        insertion's unreduced conjugate ``full``; insertions in order, then
+        positions ascending.
 
-    def successors(self, s: str, cap: int) -> Iterable[str]:
-        insert_reduce = self.insert_reduce
-        for ins, _, _, _, _ in self.insertions:
-            for p in range(len(s) + 1):
-                t = insert_reduce(s, p, ins)
-                if len(t) <= cap:
-                    yield t
+        By confluence only the junctions cancel (and, when the insertion
+        cancels completely, the halves of s), so len(t) is measured before t
+        is sliced.  Without slack some letter must cancel, so only positions
+        next to a letter of s that cancels an end of the insertion are tried.
+        """
+        inv = self.inv
+        n = len(s)
+        every = range(n + 1)
+        at: Dict[str, List[int]] = {}
+        for q, c in enumerate(s):
+            at.setdefault(c, []).append(q)
+        near: Dict[Tuple[str, str], List[int]] = {}
+        for entry in self.insertions:
+            ins, anti = entry[0], entry[1]
+            m = len(ins)
+            if n + m <= cap:
+                positions: Iterable[int] = every
+            else:
+                ends = (anti[0], anti[-1])
+                positions = near.get(ends)
+                if positions is None:
+                    positions = near[ends] = sorted(
+                        {q + 1 for q in at.get(ends[0], ())}.union(at.get(ends[1], ()))
+                    )
+            for p in positions:
+                i, j = p, 0
+                while i and j < m and s[i - 1] == anti[j]:
+                    i -= 1
+                    j += 1
+                k, j2 = p, m
+                while k < n and j2 > j and s[k] == anti[j2 - 1]:
+                    k += 1
+                    j2 -= 1
+                if j2 > j:
+                    if n + m - 2 * (k - i) <= cap:
+                        yield s[:i] + ins[j:j2] + s[k:], entry, p
+                    continue
+                while i and k < n and s[i - 1] == inv[s[k]]:
+                    i -= 1
+                    k += 1
+                if n - (k - i) <= cap:
+                    yield s[:i] + s[k:], entry, p
 
     def edge_moves(self, s: str, d: str) -> List:
-        """Explicit moves realizing one search edge s -> d (reduced, encoded)."""
-        for ins, full, rel, sign, rot in self.insertions:
-            for p in range(len(s) + 1):
-                if self.insert_reduce(s, p, ins) == d:
-                    mid = s[:p] + full + s[p:]
-                    if self.reduce(mid) != d:
-                        continue
-                    moves = [ApplyRelator(p, rel, sign, rot, 0)]
-                    moves.extend(contraction_moves(self.decode(mid)))
-                    return moves
+        """Explicit moves realizing one search edge s -> d (reduced, encoded):
+        the split-0 insertion of the first edge out of s that ends at d, then
+        the free contractions."""
+        for t, (_, _, full, rel, sign, rot), p in self.moves(s, len(d)):
+            if t == d:
+                moves = [ApplyRelator(p, rel, sign, rot, 0)]
+                moves.extend(contraction_moves(self.decode(s[:p] + full + s[p:])))
+                return moves
         raise ValueError("states are not adjacent")
 
 
@@ -303,6 +325,16 @@ def area_exact(
         path = _chain(parent[0], meet, start)[::-1] + _chain(parent[1], meet, "")[1:]
         return _witnessed(pres, coder, w, path, len(dist[0]) + len(dist[1]), best[0])
 
+    def stop() -> AreaResult:
+        """A budget cut, possibly inside a level: the meet if the completed
+        levels prove it minimal, else the lower bound they prove."""
+        lower = depth[0] + depth[1] + 1
+        if best is not None and best[0] <= lower:
+            return finish(best[1])
+        return AreaResult(
+            "budget-exhausted", lower_bound=lower, states=len(dist[0]) + len(dist[1])
+        )
+
     while True:
         if best is not None and best[0] <= depth[0] + depth[1] + 1:
             return finish(best[1])
@@ -314,23 +346,19 @@ def area_exact(
                 lower_bound=depth[0] + depth[1] + 1,
                 states=len(dist[0]) + len(dist[1]),
             )
-        exhausted = (
+        if (
             len(dist[0]) + len(dist[1]) > budget.max_states
             or (budget.max_area is not None and depth[0] + depth[1] + 1 > budget.max_area)
-            or clock.expired()
-        )
-        if exhausted:
-            return AreaResult(
-                "budget-exhausted",
-                lower_bound=depth[0] + depth[1] + 1,
-                states=len(dist[0]) + len(dist[1]),
-            )
+        ):
+            return stop()
         side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
         mine, other = dist[side], dist[1 - side]
         level: List[str] = []
         d = depth[side] + 1
         for s in frontier[side]:
-            for t in coder.successors(s, cap):
+            if clock.expired():
+                return stop()
+            for t, _, _ in coder.moves(s, cap):
                 if t in mine:
                     continue
                 mine[t] = d
@@ -340,6 +368,8 @@ def area_exact(
                     total = d + other[t]
                     if best is None or total < best[0]:
                         best = (total, t)
+                if len(mine) + len(other) > budget.max_states:
+                    return stop()
         frontier[side][:] = level
         depth[side] = d
 
@@ -364,10 +394,10 @@ def find_filling(
     parent: Dict[str, str] = {}
     heap = [(len(start), 0, start)]
     while heap:
-        if len(dist) > budget.max_states or clock.expired():
+        if clock.expired():
             return AreaResult("budget-exhausted", lower_bound=1, states=len(dist))
         _, d, s = heapq.heappop(heap)
-        for t in coder.successors(s, cap):
+        for t, _, _ in coder.moves(s, cap):
             if t in dist:
                 continue
             dist[t] = d + 1
@@ -375,6 +405,8 @@ def find_filling(
             if t == "":
                 path = _chain(parent, t, start)[::-1]
                 return _witnessed(pres, coder, w, path, len(dist))
+            if len(dist) > budget.max_states:
+                return AreaResult("budget-exhausted", lower_bound=1, states=len(dist))
             heapq.heappush(heap, (len(t), d + 1, t))
     return AreaResult("not-null-homotopic", states=len(dist))
 

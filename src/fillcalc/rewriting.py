@@ -252,7 +252,11 @@ class FillingExpression:
 
     def boundary(self, pres: GroupPresentation) -> Word:
         parts = []
-        for conj, rel, sign in self.terms:
+        for i, (conj, rel, sign) in enumerate(self.terms):
+            if not 0 <= rel < len(pres.relators):
+                raise ValueError(f"term {i}: relator index {rel} out of range")
+            if sign not in (1, -1):
+                raise ValueError(f"term {i}: sign {sign} must be +1 or -1")
             base = pres.relators[rel]
             signed = base if sign > 0 else base.inverse()
             parts.append(concat(conj, signed, conj.inverse()))

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
+from fillcalc import oracle, rewriting
 from fillcalc.cli import main
+from fillcalc.words import word
 
 
 @pytest.fixture
@@ -59,6 +62,16 @@ def test_area_budget_exit_code(z2):
          "--word", "x x x y y x' x' x' y' y'"]
     )
     assert code == 3
+
+
+def test_internal_check_exit_code(z2, monkeypatch, capsys):
+    def replay(pres, seq, theta=None):
+        acct = rewriting.replay_sequence(pres, seq, theta)
+        return dataclasses.replace(acct, endpoints=(seq.start, word("x")))
+
+    monkeypatch.setattr(oracle, "replay_sequence", replay)
+    assert main(["area", "--presentation", z2, "--word", "x y x' y'"]) == 4
+    assert capsys.readouterr().err.startswith("internal error: witness for")
 
 
 def test_dehn(z2, tmp_path):

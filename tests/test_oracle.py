@@ -1,9 +1,11 @@
 import dataclasses
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fillcalc import oracle
+from fillcalc import bestvina_brady as bb, constructors, oracle
 from fillcalc.oracle import (
     DirectProductSpec,
     MembershipUndecidableError,
@@ -113,6 +115,91 @@ def test_area_budget_exhaustion_reports_bound():
     res = area_exact(Z2, w, SearchBudget(max_states=10))
     assert res.kind == "budget-exhausted"
     assert res.lower_bound >= 1
+
+
+@pytest.mark.parametrize("search", [area_exact, find_filling])
+def test_max_states_is_a_cap(search):
+    w = commutator(wpow(word("x"), 3), wpow(word("y"), 3))
+    res = search(Z2, w, SearchBudget(max_states=100))
+    assert res.kind == "budget-exhausted" and res.states <= 101
+
+
+def test_budget_cut_inside_a_level_keeps_a_true_bound():
+    """A state budget either proves the area 4 of [x^2, y^2] or stops with at
+    most one state too many and a lower bound no larger than 4; a meet in the
+    level the budget cuts is already minimal, so it is returned."""
+    w = commutator(wpow(word("x"), 2), wpow(word("y"), 2))
+    full = area_exact(Z2, w).states
+    cut_meets = 0
+    for max_states in range(1, full + 1, 23):
+        res = area_exact(Z2, w, SearchBudget(max_states=max_states))
+        assert res.states <= max_states + 1
+        if res.kind == "area":
+            assert res.area == 4 and replay_sequence(Z2, res.witness).area == 4
+            cut_meets += res.states < full
+        else:
+            assert res.kind == "budget-exhausted" and 1 <= res.lower_bound <= 4
+    assert cut_meets > 0
+
+
+def test_wall_clock_is_a_cap():
+    w = commutator(wpow(word("x"), 5), wpow(word("y"), 5))
+    began = time.monotonic()
+    res = area_exact(Z2, w, SearchBudget(wall_clock_ms=50))
+    assert res.kind == "budget-exhausted"
+    assert time.monotonic() - began < 0.2
+
+
+def reference_moves(coder, s, cap):
+    """Every insertion at every position of s, cancelled at the junctions and
+    built in full, then dropped when it exceeds the cap."""
+    inv = coder.inv
+    for entry in coder.insertions:
+        ins = entry[0]
+        for p in range(len(s) + 1):
+            i, j = p, 0
+            while i > 0 and j < len(ins) and s[i - 1] == inv[ins[j]]:
+                i -= 1
+                j += 1
+            k, j2 = p, len(ins)
+            while k < len(s) and j2 > j and s[k] == inv[ins[j2 - 1]]:
+                k += 1
+                j2 -= 1
+            if j2 > j:
+                t = s[:i] + ins[j:j2] + s[k:]
+            else:
+                a, b = i, k
+                while a > 0 and b < len(s) and s[a - 1] == inv[s[b]]:
+                    a -= 1
+                    b += 1
+                t = s[:a] + s[b:]
+            if len(t) <= cap:
+                yield t, entry, p
+
+
+SEARCHED = {
+    "Z2": Z2,
+    "K3": bb.dicks_leary_presentation(bb.triangle_complex()),
+    "k32 amalgam": constructors.k32_amalgam().presentation,
+    # relators that are not freely reduced, so an insertion's conjugate is
+    # longer than the insertion searched with
+    "non-reduced": GroupPresentation(
+        ("x", "y"), (word("x y x' y'"), word("x x' y y"), word("x y y' x' y"))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHED))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(codes=st.lists(st.integers(0, 63), max_size=14), slack=st.integers(-4, 6))
+def test_moves_match_the_build_then_filter_loop(name, codes, slack):
+    coder = oracle._coder(SEARCHED[name])
+    s = coder.reduce("".join(chr(c % len(coder.letters)) for c in codes))
+    cap = max(0, len(s) + slack)
+    got = list(coder.moves(s, cap))
+    assert got == list(reference_moves(coder, s, cap))
+    for t, (_, _, full, _, _, _), p in got:
+        assert t == coder.reduce(s[:p] + full + s[p:])
 
 
 def test_find_filling_greedy():

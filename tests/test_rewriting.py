@@ -153,6 +153,17 @@ def test_validate_expression_examples():
     assert (acct.area, acct.radius) == (1, 0)
 
 
+@pytest.mark.parametrize(
+    "term, names",
+    [((Word(), -1, 1), "relator index -1"), ((Word(), 1, 1), "relator index 1"),
+     ((Word(), 0, 5), "sign 5"), ((Word(), 0, 0), "sign 0")],
+)
+def test_validate_expression_rejects_bad_term(term, names):
+    expr = FillingExpression(((Word(), 0, 1), term))
+    with pytest.raises(ValueError, match=f"term 1: {names}"):
+        validate_expression(Z2, expr, word("x y x' y' x y x' y'"))
+
+
 def test_validate_expression_mismatch_reports_discrepancy():
     expr = FillingExpression(((word("x"), 0, 1),))
     with pytest.raises(BoundaryMismatchError) as info:
