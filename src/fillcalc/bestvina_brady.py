@@ -63,6 +63,10 @@ class FlagComplex:
     def __init__(self, vertices: Sequence[str], edges: Iterable[Tuple[str, str]],
                  base: Optional[str] = None):
         self.vertices = tuple(dict.fromkeys(vertices))
+        for v in self.vertices:
+            # edge letters are named u_v and split at the first underscore
+            if "_" in v:
+                raise ValueError(f"vertex name {v!r} contains '_'")
         vset = set(self.vertices)
         pairs = set()
         for u, v in edges:
@@ -269,7 +273,9 @@ class SpanningTree:
             vp.pop()
         if up[-1] != vp[-1]:
             # distinct roots cannot happen in one tree
-            raise AssertionError("disconnected tree")
+            raise InternalCheckError(
+                f"disconnected tree: {u!r} and {v!r} have distinct roots"
+            )
         out = [(up[i], up[i + 1]) for i in range(len(up) - 1)]
         out.extend((vp[i + 1], vp[i]) for i in reversed(range(len(vp) - 1)))
         return out

@@ -634,13 +634,15 @@ def cayley_distance(
     frontier: List[Tuple[object, Word]] = [(id_key, EMPTY)]
     radius = 0
     while frontier:
-        if len(seen) > budget.max_states or clock.expired():
-            return DistanceResult("not-reached", radius_explored=radius)
         radius += 1
         if budget.max_area is not None and radius > budget.max_area:
             return DistanceResult("not-reached", radius_explored=radius - 1)
         level: List[Tuple[object, Word]] = []
         for _, wrep in frontier:
+            # budgets are caps: the clock is read per expanded state and the
+            # states are counted as they are added
+            if clock.expired():
+                return DistanceResult("not-reached", radius_explored=radius - 1)
             for g in steps:
                 nxt = free_reduce(concat(wrep, g))
                 key = normal_form(nxt)
@@ -649,6 +651,8 @@ def cayley_distance(
                 seen.add(key)
                 if key == target_key:
                     return DistanceResult("distance", radius, nxt, radius)
+                if len(seen) > budget.max_states:
+                    return DistanceResult("not-reached", radius_explored=radius - 1)
                 level.append((key, nxt))
         frontier = level
     return DistanceResult("not-reached", radius_explored=radius)
@@ -716,16 +720,18 @@ def distortion_sample(
     remaining = set(members) - set(dist)
     radius = 0
     while remaining and sub_frontier:
-        if len(dist) > budget.max_states or clock.expired():
-            return DistortionSample("budget-exhausted")
         radius += 1
         level = []
         for wrep in sub_frontier:
+            if clock.expired():
+                return DistortionSample("budget-exhausted")
             for g in sub_steps:
                 nxt = free_reduce(concat(wrep, g))
                 key = normal_form(nxt)
                 if key not in dist:
                     dist[key] = radius
+                    if len(dist) > budget.max_states:
+                        return DistortionSample("budget-exhausted")
                     level.append(nxt)
                     remaining.discard(key)
         sub_frontier = level

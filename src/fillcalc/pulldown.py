@@ -21,6 +21,7 @@ from .rewriting import (
     DerivationSequence,
     FillingExpression,
     GroupPresentation,
+    InternalCheckError,
     invert_sequence,
     reverse_sequence,
     sequence_to_expression,
@@ -379,7 +380,9 @@ def relator_filling(
         case = 6
         editor.free_to(EMPTY)
     if len(editor.word):
-        raise AssertionError(f"case {case} left residue {editor.word}")
+        raise InternalCheckError(
+            f"relator filling case {case} left residue {editor.word}"
+        )
     return editor.sequence(), case
 
 
@@ -476,12 +479,16 @@ def pulldown_expression(
     sigma = conjugation_scheme(ctx, k, w, 0)
     correction = sequence_to_expression(pres, reverse_sequence(pres, sigma))
     terms: List[Tuple[Word, int, int]] = []
+    # a term's refilling depends only on (relator, sign, height)
+    parts: Dict[Tuple[int, int, int], FillingExpression] = {}
     for conj, rel, sign in expr.terms:
         h = ctx.charge_k(conj, k)
-        base = pres.relators[rel]
-        signed = base if sign > 0 else base.inverse()
-        fill, _ = relator_filling(ctx, k, signed, h)
-        part = sequence_to_expression(pres, fill)
+        part = parts.get((rel, sign, h))
+        if part is None:
+            base = pres.relators[rel]
+            signed = base if sign > 0 else base.inverse()
+            fill, _ = relator_filling(ctx, k, signed, h)
+            part = parts[rel, sign, h] = sequence_to_expression(pres, fill)
         prefix = phi(ctx, k, conj, 0)
         for u, r2, s2 in part.terms:
             terms.append((concat(prefix, u), r2, s2))

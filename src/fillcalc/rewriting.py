@@ -9,6 +9,7 @@ converters between them preserve area and never increase heights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .words import (
@@ -193,12 +194,14 @@ def apply_move(pres: GroupPresentation, w: Word, move: RewriteMove) -> Word:
         a, b = w[move.pos], w[move.pos + 1]
         if a != b.inverse():
             raise ValueError(f"letters {a}, {b} do not cancel")
-        return Word(w.letters[: move.pos] + w.letters[move.pos + 2 :])
+        return Word._of(w.letters[: move.pos] + w.letters[move.pos + 2 :])
     if isinstance(move, FreeExpand):
         if not 0 <= move.pos <= len(w):
             raise ValueError("position out of range")
-        pair = (move.letter, move.letter.inverse())
-        return Word(w.letters[: move.pos] + pair + w.letters[move.pos :])
+        # the one letter a move brings in: checked, as it may come from outside
+        let = Word((move.letter,))
+        pair = let.letters + let.inverse().letters
+        return Word._of(w.letters[: move.pos] + pair + w.letters[move.pos :])
     if isinstance(move, ApplyRelator):
         replaced, replacement = _relator_halves(pres, move)
         if not 0 <= move.pos <= len(w) - len(replaced):
@@ -206,7 +209,7 @@ def apply_move(pres: GroupPresentation, w: Word, move: RewriteMove) -> Word:
         got = w[move.pos : move.pos + len(replaced)]
         if got != replaced:
             raise ValueError(f"subword {got} does not match relator part {replaced}")
-        return Word(
+        return Word._of(
             w.letters[: move.pos]
             + replacement.letters
             + w.letters[move.pos + len(replaced) :]
@@ -251,27 +254,90 @@ class FillingExpression:
         return max((len(x) for x, _, _ in self.terms), default=0)
 
     def boundary(self, pres: GroupPresentation) -> Word:
-        parts = []
+        """The product of the terms x r x^-1, letter for letter."""
+        return self._telescope(pres)[0]
+
+    def _telescope(self, pres: GroupPresentation) -> Tuple[Word, Word]:
+        """One walk over the terms: the boundary, and the telescoped word
+        freely equal to it.  The telescoped word replaces each x_i^-1 x_(i+1)
+        by a^-1 b, where x_i = p a and x_(i+1) = p b share the prefix p, so
+        it is as long as the conjugators' new suffixes, not the conjugators.
+        Each term's x^-1 is likewise b^-1 followed by the tail p^-1 of the
+        previous term's inverse."""
+        relators = pres.relators
+        signed: Dict[Tuple[int, int], Tuple[Letter, ...]] = {}
+        full: List[Letter] = []
+        tele: List[Letter] = []
+        prev: Tuple[Letter, ...] = ()
+        prev_inv: Tuple[Letter, ...] = ()
         for i, (conj, rel, sign) in enumerate(self.terms):
-            if not 0 <= rel < len(pres.relators):
+            if not 0 <= rel < len(relators):
                 raise ValueError(f"term {i}: relator index {rel} out of range")
             if sign not in (1, -1):
                 raise ValueError(f"term {i}: sign {sign} must be +1 or -1")
-            base = pres.relators[rel]
-            signed = base if sign > 0 else base.inverse()
-            parts.append(concat(conj, signed, conj.inverse()))
-        return concat(*parts) if parts else EMPTY
+            r = signed.get((rel, sign))
+            if r is None:
+                base = relators[rel]
+                r = signed[rel, sign] = (base if sign > 0 else base.inverse()).letters
+            x = conj.letters
+            c = _common_prefix(prev, x)
+            new = x[c:]
+            gone = len(prev) - c
+            tele += prev_inv[:gone]
+            tele += new
+            tele += r
+            inv = tuple(let.inverse() for let in reversed(new)) + prev_inv[gone:]
+            full += x
+            full += r
+            full += inv
+            prev, prev_inv = x, inv
+        tele += prev_inv
+        return Word._of(tuple(full)), Word._of(tuple(tele))
 
     def __mul__(self, other: "FillingExpression") -> "FillingExpression":
         return FillingExpression(self.terms + other.terms)
 
     def expr_heights(self, theta: ChargeMap) -> Tuple[int, ...]:
-        best = [0] * theta.rank
+        """Per-direction maxima of the conjugators' heights.  The prefix
+        charges of the current conjugator sit on a stack that each term cuts
+        back to the prefix it shares with the previous conjugator: those
+        prefixes are already in the maximum, so only new letters are
+        charged."""
+        zero = (0,) * theta.rank
+        charges = [zero]  # charges[j]: charge of the conjugator's first j letters
+        vectors: Dict[Letter, Tuple[int, ...]] = {}
+        best = zero
+        prev: Tuple[Letter, ...] = ()
         for conj, _, _ in self.terms:
-            for i, h in enumerate(heights(theta, conj)):
-                if h > best[i]:
-                    best[i] = h
-        return tuple(best)
+            x = conj.letters
+            c = _common_prefix(prev, x)
+            del charges[c + 1 :]
+            total = charges[c]
+            for let in x[c:]:
+                vec = vectors.get(let)
+                if vec is None:
+                    vec = vectors[let] = theta.of_letter(let)
+                total = tuple(map(add, total, vec))
+                best = tuple(map(max, best, map(abs, total)))
+                charges.append(total)
+            prev = x
+        return best
+
+
+def _common_prefix(a: tuple, b: tuple) -> int:
+    """The length of the longest common prefix of two tuples, by bisection
+    on slice equality, which compares in C."""
+    lo, hi = 0, min(len(a), len(b))
+    if a[:hi] == b[:hi]:
+        return hi
+    # a[:lo] == b[:lo] and a[:hi] != b[:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @dataclass(frozen=True)
@@ -367,9 +433,14 @@ def validate_expression(
     w: Word,
     theta: Optional[ChargeMap] = None,
 ) -> Accounting:
-    """Check that the expression's boundary is freely equal to w."""
-    boundary = expr.boundary(pres)
-    discrepancy = free_reduce(concat(boundary, w.inverse()))
+    """Check that the expression's boundary is freely equal to w.
+
+    The check reduces the telescoped boundary (see
+    ``FillingExpression._telescope``); free reduction is confluent, so the
+    verdict and the reported discrepancy are those of the full boundary,
+    which is still returned as the first endpoint."""
+    boundary, telescoped = expr._telescope(pres)
+    discrepancy = free_reduce(concat(telescoped, w.inverse()))
     if len(discrepancy):
         raise BoundaryMismatchError(discrepancy)
     return Accounting(

@@ -10,6 +10,7 @@ and the height-based departure sandwich.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 __all__ = [
@@ -61,7 +62,12 @@ def _parse_letter(token: str) -> Letter:
 
 
 class Word:
-    """An immutable word; all operations return fresh values."""
+    """An immutable word; all operations return fresh values.
+
+    The constructor checks every letter.  Words that fillcalc derives from
+    words it already holds (slices, products, inverses, reductions) are
+    built by ``Word._of``, which trusts its letters.
+    """
 
     __slots__ = ("letters",)
 
@@ -71,6 +77,14 @@ class Word:
             if not isinstance(let, Letter) or let.sign not in (1, -1):
                 raise ValueError(f"bad letter {let!r}")
         object.__setattr__(self, "letters", letters)
+
+    @classmethod
+    def _of(cls, letters: tuple) -> "Word":
+        """The word on a tuple of letters already known to be valid, without
+        the per-letter check: only for letters taken from existing words."""
+        w = object.__new__(cls)
+        _set_letters(w, letters)
+        return w
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -83,11 +97,11 @@ class Word:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Word(self.letters[i])
+            return Word._of(self.letters[i])
         return self.letters[i]
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word._of(self.letters + other.letters)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self.letters == other.letters
@@ -96,11 +110,11 @@ class Word:
         return hash(self.letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple(let.inverse() for let in reversed(self.letters)))
+        return Word._of(tuple(let.inverse() for let in reversed(self.letters)))
 
     def prefix(self, j: int) -> "Word":
         # w[j] in prefix notation; j beyond the end yields the whole word
-        return Word(self.letters[: max(0, j)])
+        return Word._of(self.letters[: max(0, j)])
 
     def generators(self) -> frozenset:
         return frozenset(let.gen for let in self.letters)
@@ -114,6 +128,7 @@ class Word:
         return f"word({str(self)!r})"
 
 
+_set_letters = Word.letters.__set__
 EMPTY = Word()
 
 
@@ -129,17 +144,14 @@ def word(text: str) -> Word:
 
 
 def concat(*ws: Word) -> Word:
-    letters = []
-    for w in ws:
-        letters.extend(w.letters)
-    return Word(letters)
+    return Word._of(tuple(chain.from_iterable(w.letters for w in ws)))
 
 
 def wpow(w: Word, n: int) -> Word:
     """w^n as a literal word; negative n uses the inverse word."""
     if n < 0:
         return wpow(w.inverse(), -n)
-    return Word(w.letters * n)
+    return Word._of(w.letters * n)
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -159,7 +171,7 @@ def free_reduce(w: Word) -> Word:
             stack.pop()
         else:
             stack.append(let)
-    return Word(stack)
+    return Word._of(tuple(stack))
 
 
 def freely_equal(w1: Word, w2: Word) -> bool:
@@ -170,16 +182,16 @@ def cyclic_conjugate(w: Word, k: int) -> Word:
     if not w.letters:
         return w
     k %= len(w)
-    return Word(w.letters[k:] + w.letters[:k])
+    return Word._of(w.letters[k:] + w.letters[:k])
 
 
 def cyclic_reduce(w: Word) -> Word:
     """Strip cancelling first/last pairs after free reduction."""
-    w = free_reduce(w)
-    letters = list(w.letters)
-    while len(letters) >= 2 and letters[0] == letters[-1].inverse():
-        letters = letters[1:-1]
-    return Word(letters)
+    letters = free_reduce(w).letters
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == letters[j - 1].inverse():
+        i, j = i + 1, j - 1
+    return Word._of(letters[i:j])
 
 
 class ChargeMap:

@@ -6,6 +6,7 @@ import pytest
 from fillcalc import bestvina_brady
 from fillcalc.bestvina_brady import (
     BBModel,
+    FlagComplex,
     bb_indexed_families,
     bb_phi,
     bb_relator_scheme,
@@ -54,6 +55,20 @@ def test_check_flag_rejects_bad_graphs():
             [("a", "b"), ("b", "c"), ("a", "c")],
             declared_simplices=[("a", "b", "z")],
         )
+
+
+def test_flag_complex_rejects_underscore_vertex():
+    # the edge letter of (a_1, b) would be a_1_b, read back as (a, 1_b)
+    with pytest.raises(ValueError, match="'a_1'"):
+        FlagComplex(["a_1", "b"], [("a_1", "b")])
+
+
+def test_tree_path_rejects_a_second_root():
+    tree = spanning_tree(K3)
+    leaf = next(v for v, p in tree.parent.items() if p is not None)
+    tree.parent[leaf] = None
+    with pytest.raises(InternalCheckError, match="disconnected tree"):
+        tree.path(leaf, K3.base)
 
 
 def test_raag_presentation_shapes():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from fillcalc import oracle, rewriting
+from fillcalc import oracle, pulldown, rewriting
 from fillcalc.cli import main
 from fillcalc.words import word
 
@@ -162,6 +162,19 @@ def test_bb_rarea(k3, tmp_path):
     ) == 0
     rows = json.loads(out.read_text())["verdicts"]["table"]
     assert all(r["upper"] <= r["bound"] for r in rows)
+
+
+def test_bb_rejects_underscore_vertex(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": ["a_1", "b"], "edges": [["a_1", "b"]]}))
+    assert main(["bb", "--complex", str(path), "present"]) == 2
+    assert "'a_1'" in capsys.readouterr().err
+
+
+def test_fixtures_internal_check_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(pulldown, "_fill_case_both_high", lambda ctx, k, editor: None)
+    assert main(["fixtures", "run", "--only", "pulldown-pipeline"]) == 4
+    assert "left residue" in capsys.readouterr().err
 
 
 def test_depth(tmp_path, capsys):

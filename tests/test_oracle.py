@@ -381,6 +381,81 @@ def test_distortion_toy_subgroup():
     assert res.kind == "value" and res.value <= 5
 
 
+class SlowClock:
+    """Stands in for the ``time`` module: every read of the clock advances it
+    by one millisecond, as if each step between reads took that long."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.reads = 0
+
+    def monotonic(self):
+        self.reads += 1
+        self.now += 0.001
+        return self.now
+
+
+class CountingNormalForm:
+    """``free_normal_form`` that records every distinct key it returns, so a
+    test can count the states a search built."""
+
+    def __init__(self):
+        self.keys = set()
+
+    def __call__(self, w):
+        key = free_normal_form(w)
+        self.keys.add(key)
+        return key
+
+
+def far_distance(normal_form, budget):
+    # (x y)^8 lies 16 breadth-first levels out in the free group on x, y
+    target = wpow(word("x y"), 8)
+    return cayley_distance([word("x"), word("y")], target, normal_form, budget)
+
+
+def endless_distortion(normal_form, budget):
+    # the ambient ball of radius 1 has 5 elements; its member y is not in
+    # <x y x', x^2 y x^-2>, so the subgroup search never completes
+    theta = ChargeMap(1, {"x": (1,), "y": (0,)})
+    sub = [word("x y x'"), word("x x y x' x'")]
+    return distortion_sample(
+        sub, [word("x"), word("y")], 1, normal_form, budget, theta=theta
+    )
+
+
+BUDGETED_SEARCHES = pytest.mark.parametrize(
+    "search, cut",
+    [(far_distance, "not-reached"), (endless_distortion, "budget-exhausted")],
+    ids=["cayley_distance", "distortion_sample"],
+)
+
+
+@BUDGETED_SEARCHES
+def test_search_max_states_is_a_cap(search, cut):
+    """Four steps per state make breadth-first levels of 4, 12, 36, 108
+    states: a check between levels would stop at 161."""
+    normal_form = CountingNormalForm()
+    res = search(normal_form, SearchBudget(max_states=100))
+    assert res.kind == cut
+    # the identity and target keys, or the ambient ball, account for the 5
+    assert len(normal_form.keys) <= 101 + 5
+
+
+@BUDGETED_SEARCHES
+def test_search_wall_clock_is_a_cap(search, cut, monkeypatch):
+    """With every clock read a millisecond, a 50 ms clock allows about 50
+    expanded states, each adding at most four; a clock read once per level
+    would let the state budget stop the search far later."""
+    clock = SlowClock()
+    monkeypatch.setattr(oracle, "time", clock)
+    normal_form = CountingNormalForm()
+    res = search(normal_form, SearchBudget(wall_clock_ms=50, max_states=20_000))
+    assert res.kind == cut
+    assert clock.reads <= 60
+    assert len(normal_form.keys) <= 4 * clock.reads + 5
+
+
 def test_distortion_kernel_quadratic_consistency():
     gens = [word("x1 x2'"), word("y1"), word("y2")]
     theta = SPEC22.theta

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fillcalc import pulldown
 from fillcalc.oracle import dp_equal
 from fillcalc.pulldown import (
     BoundExpr,
@@ -25,7 +26,10 @@ from fillcalc.pulldown import (
 from fillcalc.rewriting import (
     DerivationSequence,
     FillingExpression,
+    InternalCheckError,
     replay_sequence,
+    reverse_sequence,
+    sequence_to_expression,
     validate_expression,
 )
 from fillcalc.words import (
@@ -209,6 +213,13 @@ def test_relator_filling_all_cases(h):
     assert seen_cases == {1, 2, 3, 4, 5, 6}
 
 
+def test_relator_filling_rejects_residue(monkeypatch):
+    # [e1_2, e1_3] has both letters outside the first factor: case 1
+    monkeypatch.setattr(pulldown, "_fill_case_both_high", lambda ctx, k, editor: None)
+    with pytest.raises(InternalCheckError, match="case 1 left residue"):
+        relator_filling(CTX1, 1, word("e1_2 e1_3 e1_2' e1_3'"), 1)
+
+
 def test_relator_filling_rejects_free_factor_relators():
     with pytest.raises(UnsupportedRelatorError):
         relator_filling(CTX1, 1, word("e1_1 e2_1"), 0)
@@ -262,6 +273,50 @@ def test_pulldown_expression_randomized(ctx):
             if i != k:
                 bound = max(bound, expr.expr_heights(theta)[i - 1])
             assert out_heights[i - 1] <= bound
+
+
+def reference_pulldown_expression(ctx, k, expr, w):
+    """The expression pulldown with every term refilled afresh."""
+    pres = ctx.presentation
+    sigma = conjugation_scheme(ctx, k, w, 0)
+    terms = list(sequence_to_expression(pres, reverse_sequence(pres, sigma)).terms)
+    for conj, rel, sign in expr.terms:
+        base = pres.relators[rel]
+        fill, _ = relator_filling(
+            ctx, k, base if sign > 0 else base.inverse(), ctx.charge_k(conj, k)
+        )
+        prefix = phi(ctx, k, conj, 0)
+        for u, r2, s2 in sequence_to_expression(pres, fill).terms:
+            terms.append((concat(prefix, u), r2, s2))
+    return FillingExpression(terms)
+
+
+def test_pulldown_expression_fills_a_repeated_key_once(monkeypatch):
+    # keys (relator, sign, height): (0, 1, 1) three times, (4, -1, 0) twice
+    expr = FillingExpression(
+        (
+            (word("e1_2"), 0, 1),
+            (EMPTY, 4, -1),
+            (word("e1_3"), 0, 1),
+            (word("e2_2 e1_1"), 0, 1),
+            (word("e2_2"), 4, -1),
+        )
+    )
+    w = free_reduce(expr.boundary(CTX1.presentation))
+    expected = reference_pulldown_expression(CTX1, 1, expr, w)
+    fills = []
+    original = pulldown.relator_filling
+
+    def counting(ctx, k, s, h):
+        fills.append((s, h))
+        return original(ctx, k, s, h)
+
+    monkeypatch.setattr(pulldown, "relator_filling", counting)
+    out = pulldown_expression(CTX1, 1, expr, w)
+    assert out == expected
+    validate_expression(CTX1.presentation, out, w)
+    # one fill per key; the inverse relator's fill also fills its inverse
+    assert len(fills) == 3
 
 
 @pytest.mark.parametrize("ctx", [CTX1, CTX2])

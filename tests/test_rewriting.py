@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fillcalc.pulldown import standard_context
 from fillcalc.rewriting import (
+    Accounting,
     ApplyRelator,
     BoundaryMismatchError,
     DerivationSequence,
@@ -28,7 +31,16 @@ from fillcalc.rewriting import (
 )
 from fillcalc import rewriting
 from fillcalc.oracle import SearchBudget
-from fillcalc.words import ChargeMap, Letter, Word, commutator, concat, free_reduce, word
+from fillcalc.words import (
+    ChargeMap,
+    Letter,
+    Word,
+    commutator,
+    concat,
+    free_reduce,
+    heights,
+    word,
+)
 
 Z2 = GroupPresentation(("x", "y"), (word("x y x' y'"),))
 
@@ -169,6 +181,110 @@ def test_validate_expression_mismatch_reports_discrepancy():
     with pytest.raises(BoundaryMismatchError) as info:
         validate_expression(Z2, expr, word("y"))
     assert len(info.value.discrepancy) > 0
+
+
+def reference_validation(pres, expr, w, theta):
+    """The verifier before telescoping: the whole boundary, built term by
+    term and reduced against w, and every conjugator's heights from scratch.
+    Returns the accounting (None on a mismatch) and the discrepancy."""
+    parts = []
+    for conj, rel, sign in expr.terms:
+        base = pres.relators[rel]
+        signed = base if sign > 0 else base.inverse()
+        parts.append(concat(conj, signed, conj.inverse()))
+    boundary = concat(*parts) if parts else Word()
+    discrepancy = free_reduce(concat(boundary, w.inverse()))
+    if len(discrepancy):
+        return None, discrepancy
+    best = [0] * theta.rank
+    for conj, _, _ in expr.terms:
+        for i, h in enumerate(heights(theta, conj)):
+            if h > best[i]:
+                best[i] = h
+    radius = max((len(conj) for conj, _, _ in expr.terms), default=0)
+    return Accounting(len(expr.terms), radius, tuple(best), (boundary, w)), discrepancy
+
+
+PRODUCT = standard_context(3, 2, 1)
+SHARED_PREFIX_CASES = {
+    "Z2": (Z2, ChargeMap(2, {"x": (1, 0), "y": (0, 1)})),
+    "(3,2,1) product": (PRODUCT.presentation, PRODUCT.theta),
+}
+
+
+def words_over(pres, max_size):
+    letters = st.builds(
+        Letter, st.sampled_from(pres.generators), st.sampled_from((1, -1))
+    )
+    return st.lists(letters, max_size=max_size).map(lambda ls: Word(tuple(ls)))
+
+
+@st.composite
+def shared_prefix_expressions(draw, pres):
+    """Expressions whose conjugators share prefixes the way flattened ones
+    do: empty, repeated, extended, cut back, grown from a shared trunk, or
+    drawn fresh with no prefix in common."""
+    trunks = draw(st.lists(words_over(pres, 10), min_size=1, max_size=3))
+    terms = []
+    prev = Word()
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(
+            st.sampled_from(("empty", "repeat", "extend", "cut", "trunk", "fresh"))
+        )
+        if kind == "empty":
+            conj = Word()
+        elif kind == "repeat":
+            conj = prev
+        elif kind == "extend":
+            conj = concat(prev, draw(words_over(pres, 4)))
+        elif kind == "cut":
+            conj = prev[: draw(st.integers(0, len(prev)))]
+        elif kind == "trunk":
+            conj = concat(draw(st.sampled_from(trunks)), draw(words_over(pres, 4)))
+        else:
+            conj = draw(words_over(pres, 8))
+        rel = draw(st.integers(0, len(pres.relators) - 1))
+        terms.append((conj, rel, draw(st.sampled_from((1, -1)))))
+        prev = conj
+    return FillingExpression(terms)
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_PREFIX_CASES))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_validate_expression_matches_the_whole_boundary(case, data):
+    """On the expression's own reduced boundary the telescoped verifier
+    returns the reference's accounting, whose first endpoint is the whole
+    unreduced boundary; on a perturbed word it reports the reference's
+    discrepancy."""
+    pres, theta = SHARED_PREFIX_CASES[case]
+    expr = data.draw(shared_prefix_expressions(pres))
+    _, reduced = reference_validation(pres, expr, Word(), theta)
+    perturbed = free_reduce(concat(reduced, data.draw(words_over(pres, 3))))
+    for w in (reduced, perturbed):
+        expected, discrepancy = reference_validation(pres, expr, w, theta)
+        if expected is None:
+            with pytest.raises(BoundaryMismatchError) as info:
+                validate_expression(pres, expr, w, theta)
+            assert info.value.discrepancy == discrepancy
+        else:
+            assert validate_expression(pres, expr, w, theta) == expected
+            assert expr.boundary(pres) == expected.endpoints[0]
+            assert expr.expr_heights(theta) == expected.heights
+
+
+def test_public_constructors_still_check_letters():
+    for bad in ((Letter("x", 2),), (Letter("x", 0),), ("x",), (("x", 1),)):
+        with pytest.raises(ValueError, match="bad letter"):
+            Word(bad)
+
+
+@pytest.mark.parametrize("letter", [Letter("x", 0), ("x", 1), "x"], ids=repr)
+def test_free_expand_checks_its_letter(letter):
+    seq = DerivationSequence(word("x"), (FreeExpand(1, letter),))
+    with pytest.raises(MalformedMoveError, match="bad letter") as info:
+        replay_sequence(Z2, seq)
+    assert info.value.index == 0
 
 
 def test_free_equality_sequence_examples():
