@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict
 
 from . import bestvina_brady as bb
 from .constructors import (
@@ -60,7 +60,7 @@ from .words import (
     wpow,
 )
 
-__all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all"]
+__all__ = ["CriterionResult", "CRITERIA", "run_criterion"]
 
 
 @dataclass
@@ -87,7 +87,7 @@ def _zero_charge_word(rng, ctx, max_len) -> Word:
     return concat(w, Word(fix))
 
 
-def check_square_area_law(trials: int = 0, seed: int = 0) -> CriterionResult:
+def check_square_area_law() -> CriterionResult:
     """Exact areas of the nested square commutators over the rank-two free
     abelian presentation."""
     values = []
@@ -105,7 +105,7 @@ def check_square_area_law(trials: int = 0, seed: int = 0) -> CriterionResult:
     return CriterionResult("z2-area-law", True, f"areas {values} = squares")
 
 
-def check_scheme_fixture(trials: int = 0, seed: int = 0) -> CriterionResult:
+def check_scheme_fixture() -> CriterionResult:
     """The three-row scheme fixture verifies with row areas 2, 1, 2 and the
     word itself has exact area at most 5."""
     scheme = Scheme(
@@ -130,12 +130,12 @@ def check_scheme_fixture(trials: int = 0, seed: int = 0) -> CriterionResult:
     )
 
 
-def check_pulldown_properties(trials: int = 1000, seed: int = 7) -> CriterionResult:
+def check_pulldown_properties() -> CriterionResult:
     """All six pulling-down properties on randomized words over a product of
     three rank-two free groups, in one and two directions."""
-    rng = random.Random(seed)
+    rng = random.Random(7)
     contexts = [standard_context(3, 2, 1), standard_context(3, 2, 2)]
-    for trial in range(trials):
+    for trial in range(1000):
         ctx = contexts[trial % 2]
         k = 1 + trial % ctx.rank
         w = _random_word(rng, ctx.spec.all_generators(), 10)
@@ -150,16 +150,16 @@ def check_pulldown_properties(trials: int = 1000, seed: int = 7) -> CriterionRes
                 f"trial {trial}: {bad} failed on w={w} h={h} k={k}",
             )
     return CriterionResult(
-        "pulldown-properties", True, f"{trials} trials, all six clauses held"
+        "pulldown-properties", True, "1000 trials, all six clauses held"
     )
 
 
-def check_flatten_words(trials: int = 500, seed: int = 11) -> CriterionResult:
+def check_flatten_words() -> CriterionResult:
     """Randomized zero-charge words flatten to words representing the same
     element with unit heights and controlled length."""
-    rng = random.Random(seed)
+    rng = random.Random(11)
     contexts = [standard_context(3, 2, 1), standard_context(4, 2, 2)]
-    for trial in range(trials):
+    for trial in range(500):
         ctx = contexts[trial % 2]
         w = _zero_charge_word(rng, ctx, 10)
         out = flatten_word(ctx, w)
@@ -169,10 +169,10 @@ def check_flatten_words(trials: int = 500, seed: int = 11) -> CriterionResult:
             return CriterionResult("flatten-words", False, f"heights exceed 1 for {w}")
         if len(w) and len(out) > 8 ** ctx.rank * len(w) ** (ctx.rank + 1):
             return CriterionResult("flatten-words", False, f"length bound broke for {w}")
-    return CriterionResult("flatten-words", True, f"{trials} words flattened")
+    return CriterionResult("flatten-words", True, "500 words flattened")
 
 
-def check_case_emitters(trials: int = 0, seed: int = 0) -> CriterionResult:
+def check_case_emitters() -> CriterionResult:
     """Letter conversions, word conversions and the six relator-filling cases
     replay within their stated area and height bounds for all |h| <= 3."""
     cases_seen = set()
@@ -236,12 +236,13 @@ def check_case_emitters(trials: int = 0, seed: int = 0) -> CriterionResult:
     )
 
 
-def check_pulldown_pipeline(trials: int = 200, seed: int = 13) -> CriterionResult:
+def check_pulldown_pipeline() -> CriterionResult:
     """Randomized expressions flatten with validated boundaries, bounded
     heights, and area within the iterated pulldown formula."""
-    rng = random.Random(seed)
+    # perfbench's pulldown-flatten workload draws the same expressions
+    rng = random.Random(13)
     contexts = [standard_context(3, 2, 1), standard_context(4, 2, 2)]
-    for trial in range(trials):
+    for trial in range(200):
         ctx = contexts[trial % 2]
         pres = ctx.presentation
         theta = ctx.theta
@@ -276,10 +277,10 @@ def check_pulldown_pipeline(trials: int = 200, seed: int = 13) -> CriterionResul
                 False,
                 f"trial {trial}: area {out.area} > {bound}",
             )
-    return CriterionResult("pulldown-pipeline", True, f"{trials} expressions flattened")
+    return CriterionResult("pulldown-pipeline", True, "200 expressions flattened")
 
 
-def check_amalgam_lower_bound(trials: int = 0, seed: int = 0) -> CriterionResult:
+def check_amalgam_lower_bound() -> CriterionResult:
     """Desk-scale witness areas against twice the subgroup distance, plus the
     distance bound for the squared commutator."""
     am = k32_amalgam()
@@ -337,7 +338,7 @@ def check_amalgam_lower_bound(trials: int = 0, seed: int = 0) -> CriterionResult
     return CriterionResult("amalgam-lower-bound", True, "; ".join(details))
 
 
-def check_tietze_evidence(trials: int = 0, seed: int = 0) -> CriterionResult:
+def check_tietze_evidence() -> CriterionResult:
     """Each presentation's extra relators fill over the other presentation."""
     pres = k32_presentations()
     q1, q2 = pres["q1"], pres["q2"]
@@ -364,16 +365,13 @@ def check_tietze_evidence(trials: int = 0, seed: int = 0) -> CriterionResult:
     )
 
 
-def check_bb_complexes(trials: int = 0, seed: int = 0) -> CriterionResult:
+def check_bb_complexes() -> CriterionResult:
     """Families die in the ambient group, schemes stay within bounds, the
     sampled relational areas fit the quadratic envelope, and the composed
     bound prints the quartic."""
     from .oracle import raag_equal
 
-    for delta, tree in (
-        (bb.triangle_complex(), None),
-        (bb.octahedron_complex(), None),
-    ):
+    for delta in (bb.triangle_complex(), bb.octahedron_complex()):
         tree = bb.spanning_tree(delta)
         model = bb.BBModel(delta, tree)
         for member in bb.bb_indexed_families(delta, tree, 2):
@@ -409,7 +407,7 @@ def check_bb_complexes(trials: int = 0, seed: int = 0) -> CriterionResult:
     )
 
 
-def check_bounded_noise(trials: int = 0, seed: int = 0) -> CriterionResult:
+def check_bounded_noise() -> CriterionResult:
     """Every fixture word with a known exact area admits an expression within
     the drift bound."""
     ctx = standard_context(3, 2, 1)
@@ -439,7 +437,7 @@ def check_bounded_noise(trials: int = 0, seed: int = 0) -> CriterionResult:
     )
 
 
-def check_bound_calculators(trials: int = 0, seed: int = 0) -> CriterionResult:
+def check_bound_calculators() -> CriterionResult:
     """Canonical forms of the three composed bounds."""
     l2, l1 = parse_bound("l^2"), parse_bound("l")
     got = {
@@ -453,7 +451,7 @@ def check_bound_calculators(trials: int = 0, seed: int = 0) -> CriterionResult:
     return CriterionResult("bound-calculators", True, str(got))
 
 
-CRITERIA: Dict[str, Callable[..., CriterionResult]] = {
+CRITERIA: Dict[str, Callable[[], CriterionResult]] = {
     "z2-area-law": check_square_area_law,
     "scheme-fixture": check_scheme_fixture,
     "pulldown-properties": check_pulldown_properties,
@@ -468,16 +466,5 @@ CRITERIA: Dict[str, Callable[..., CriterionResult]] = {
 }
 
 
-def run_criterion(name: str, **kwargs) -> CriterionResult:
-    return CRITERIA[name](**kwargs)
-
-
-def run_all(printer: Optional[Callable[[str], None]] = None) -> List[CriterionResult]:
-    results = []
-    for name, check in CRITERIA.items():
-        result = check()
-        results.append(result)
-        if printer is not None:
-            mark = "pass" if result.passed else "FAIL"
-            printer(f"[{mark}] {name}: {result.detail}")
-    return results
+def run_criterion(name: str) -> CriterionResult:
+    return CRITERIA[name]()

@@ -379,17 +379,25 @@ def _triangle_cycles(delta: FlagComplex) -> List[Tuple[Edge, Edge, Edge]]:
     return out
 
 
+def _attach(cyc: Tuple[Edge, ...], k: int) -> Optional[str]:
+    """The vertex an expansion at position k must start from: the end of
+    edge k-1, or the cycle's start vertex at the seam k = 0; any vertex
+    (None) on the empty cycle."""
+    if not cyc:
+        return None
+    return cyc[k - 1][1] if k else cyc[0][0]
+
+
 def apply_null_homotopy_move(
     delta: FlagComplex, cyc: Tuple[Edge, ...], move: NullHomotopyMove
 ) -> Tuple[Edge, ...]:
     k = move.pos
     if not 0 <= k <= len(cyc):
         raise ValueError("position out of range")
-    junction = cyc[k - 1][1] if k and cyc else None
+    attach = _attach(cyc, k)
     if move.kind == "1-expand":
         (e,) = move.edges
-        if cyc and junction is not None and e[0] != (junction if k else cyc[0][0]):
-            # inserting at the seam (k == 0) attaches at the cycle's start
+        if attach is not None and e[0] != attach:
             raise ValueError("edge does not start at the junction vertex")
         return cyc[:k] + (e, (e[1], e[0])) + cyc[k:]
     if move.kind == "1-collapse":
@@ -403,7 +411,7 @@ def apply_null_homotopy_move(
         e, f, g = move.edges
         if not _is_cycle(delta, (e, f, g)) or len({e[0], f[0], g[0]}) != 3:
             raise ValueError("edges do not form a triangle cycle")
-        if cyc and e[0] != (junction if k else cyc[0][0]):
+        if attach is not None and e[0] != attach:
             raise ValueError("triangle does not start at the junction vertex")
         return cyc[:k] + (e, f, g) + cyc[k:]
     if move.kind == "2-collapse":
@@ -440,34 +448,36 @@ def find_null_homotopy(
     if not _is_cycle(delta, start):
         raise ValueError("not a combinatorial cycle")
     cap = max_length if max_length is not None else len(start) + 4
-    triangles = _triangle_cycles(delta)
+    # expansion cells: an edge with its reverse, or a triangle cycle
+    expansions = (
+        ("1-expand", 2, [(e,) for e in delta.directed_edges()]),
+        ("2-expand", 3, _triangle_cycles(delta)),
+    )
     seen = {start: None}
     queue = deque([start])
     while queue:
         cyc = queue.popleft()
         if len(seen) > max_states:
             raise NotNullError("null-homotopy search budget exhausted")
-        moves: List[Tuple[NullHomotopyMove, Tuple[Edge, ...]]] = []
+        moves: List[NullHomotopyMove] = []
         for k in range(len(cyc) - 1):
             if cyc[k + 1] == (cyc[k][1], cyc[k][0]):
-                moves.append((NullHomotopyMove("1-collapse", k), None))
+                moves.append(NullHomotopyMove("1-collapse", k))
         for k in range(len(cyc) - 2):
             tri = (cyc[k], cyc[k + 1], cyc[k + 2])
             if len({e[0] for e in tri}) == 3 and _is_cycle(delta, tri):
-                moves.append((NullHomotopyMove("2-collapse", k), None))
-        if len(cyc) + 2 <= cap:
+                moves.append(NullHomotopyMove("2-collapse", k))
+        for kind, size, cells in expansions:
+            if len(cyc) + size > cap:
+                continue
             for k in range(len(cyc) + 1):
-                attach = cyc[k - 1][1] if k else (cyc[0][0] if cyc else None)
-                for e in delta.directed_edges():
-                    if attach is None or e[0] == attach:
-                        moves.append((NullHomotopyMove("1-expand", k, (e,)), None))
-        if len(cyc) + 3 <= cap:
-            for k in range(len(cyc) + 1):
-                attach = cyc[k - 1][1] if k else (cyc[0][0] if cyc else None)
-                for tri in triangles:
-                    if attach is None or tri[0][0] == attach:
-                        moves.append((NullHomotopyMove("2-expand", k, tri), None))
-        for move, _ in moves:
+                attach = _attach(cyc, k)
+                moves.extend(
+                    NullHomotopyMove(kind, k, cell)
+                    for cell in cells
+                    if attach is None or cell[0][0] == attach
+                )
+        for move in moves:
             nxt = apply_null_homotopy_move(delta, cyc, move)
             if nxt in seen:
                 continue
@@ -548,12 +558,8 @@ class BBModel:
         """Transpose editor letters at pos, pos+1 by splicing a minimal
         commutator filling (two relator moves for triangle letters)."""
         a, b = editor.word[pos], editor.word[pos + 1]
-        if a == b:
-            return 0
-        if a.gen == b.gen and a.sign == -b.sign:
-            editor.contract(pos)
-            editor.expand(pos, b)
-            return 0
+        if a.gen == b.gen:
+            return editor.swap(pos)
         fill = self._commutator_fill(a, b)
         editor.insert_cancelling(pos + 2, Word((b, a)).inverse())
         editor.apply_subsequence(pos, fill)
@@ -563,13 +569,7 @@ class BBModel:
                          first: Letter) -> int:
         """Stable-sort a 2-count block of two letter kinds so `first` letters
         come leftmost."""
-        cost = 0
-        for i in range(pos, pos + 2 * count):
-            j = i
-            while j > pos and editor.word[j] == first and editor.word[j - 1] != first:
-                cost += self.swap(editor, j - 1)
-                j -= 1
-        return cost
+        return editor.sort(pos, pos + 2 * count, lambda x: x != first, self.swap)
 
     # -- power-block primitives -------------------------------------------
 
@@ -635,11 +635,10 @@ class BBModel:
         return abs(k)
 
     def fill_cycle_power(self, editor: WordEditor, pos: int,
-                         cycle: Tuple[Edge, ...], k: int) -> int:
-        """Remove the k-th power word of a null-homotopic cycle at pos by
-        translating its combinatorial null-homotopy move by move."""
-        nh = self.null_homotopy(cycle)
-        cyc = cycle
+                         nh: CombinatorialNullHomotopy, k: int) -> int:
+        """Remove the k-th power word of the homotopy's start cycle at pos by
+        translating the combinatorial null-homotopy move by move."""
+        cyc = nh.start
         m = abs(k)
         cost = 0
         for move in nh.moves:
@@ -671,7 +670,7 @@ class BBModel:
         tail = cycle_word[shift:]  # e^k Q(tau, k)
         sub = WordEditor(self.pres, rot_word)
         sub.insert_cancelling(len(rot_word), tail)
-        cost = self.fill_cycle_power(sub, len(tail), cycle, k)
+        cost = self.fill_cycle_power(sub, len(tail), self.null_homotopy(cycle), k)
         sub.free_to(EMPTY)
         null_rot = sub.sequence()  # fills e^k Q(tau,k) P(iota,k)
         edge_word = Word((self.delta.edge_letter(e),))
@@ -805,27 +804,14 @@ def null_homotopy_to_sequence(
     """Translate a combinatorial null-homotopy into a null sequence for the
     n-th power word of its start cycle: one reverse-pair relator per layer
     for the one-cell moves, and the triangle collapse for the two-cell moves;
-    total area at most three times the move count times n squared."""
+    total area at most three times the move count times n squared.  Only nh
+    is translated; the model's homotopy cache is left alone."""
     final = replay_null_homotopy(delta, nh)
     if final:
         raise ValueError("the homotopy does not end at the empty cycle")
     model = model or BBModel(delta, tree)
-    model._homotopies.setdefault(nh.start, nh)
     editor = WordEditor(model.pres, model.power_word(nh.start, n))
-    cyc = nh.start
-    m = abs(n)
-    for move in nh.moves:
-        offset = m * move.pos
-        if move.kind == "1-collapse":
-            model.collapse_pair_power(editor, offset, n)
-        elif move.kind == "1-expand":
-            model.insert_pair_power(editor, offset, move.edges[0], n)
-        elif move.kind == "2-collapse":
-            tri = (cyc[move.pos], cyc[move.pos + 1], cyc[move.pos + 2])
-            model.collapse_triangle_power(editor, offset, tri, n)
-        else:
-            model.insert_triangle_power(editor, offset, move.edges, n)
-        cyc = apply_null_homotopy_move(delta, cyc, move)
+    model.fill_cycle_power(editor, 0, nh, n)
     editor.free_to(EMPTY)
     return editor.sequence()
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
+from .constructors import KnmrSpec, knmr_spec_ambient
 from .oracle import DirectProductSpec, dp_equal
 from .rewriting import (
     DerivationSequence,
@@ -29,7 +30,6 @@ from .rewriting import (
 from .seqbuild import WordEditor
 from .words import (
     EMPTY,
-    ChargeMap,
     Letter,
     Word,
     charge,
@@ -143,12 +143,7 @@ def standard_context(n: int, m: int, r: int) -> PulldownContext:
     map (generator j of every factor maps to the j-th unit for j <= r)."""
     if not (n >= 2 and m >= 1 and 1 <= r <= m):
         raise ValueError("need n >= 2, m >= 1, 1 <= r <= m")
-    factors = [[f"e{j}_{i}" for j in range(1, m + 1)] for i in range(1, n + 1)]
-    charges = {}
-    for alphabet in factors:
-        for j, gen in enumerate(alphabet, start=1):
-            charges[gen] = tuple(1 if j == t else 0 for t in range(1, r + 1))
-    return PulldownContext(DirectProductSpec(factors, ChargeMap(r, charges)))
+    return PulldownContext(knmr_spec_ambient(KnmrSpec(n, m, r)))
 
 
 def _ef_block(ctx: PulldownContext, k: int, h: int) -> Word:
@@ -256,9 +251,9 @@ def letter_conjugation_sequence(
     if ctx.spec.factor_of[let.gen] == 0:
         # sort both mixed power blocks, merge the middle f-powers freely,
         # walk the letter out through the leftover f-block, and cancel
-        _sort_pair_block(editor, 0, abs(h), e.gen)
-        tail = abs(h + tx)
-        _sort_pair_block(editor, len(editor.word) - 2 * tail, tail, f.gen)
+        editor.sort(0, 2 * abs(h), lambda x: x.gen != e.gen)
+        n = len(editor.word)
+        editor.sort(n - 2 * abs(h + tx), n, lambda x: x.gen != f.gen)
         before = -h if let.sign > 0 else -(h + tx)
         mid = concat(
             wpow(ew, h), wpow(fw, before), xw, wpow(fw, -before), wpow(ew, -h - tx)
@@ -275,20 +270,6 @@ def letter_conjugation_sequence(
             editor.move_letter(t + 2 * abs(h + tx), t + abs(h + tx))
         editor.free_to(target)
     return editor.sequence()
-
-
-def _sort_pair_block(editor: WordEditor, pos: int, m: int, first_gen: str) -> int:
-    """Stable-sort an alternating two-generator block of 2m letters at pos so
-    letters of first_gen come first."""
-    cost = 0
-    for i in range(pos, pos + 2 * m):
-        j = i
-        while j > pos and (
-            editor.word[j].gen == first_gen and editor.word[j - 1].gen != first_gen
-        ):
-            cost += editor.swap(j - 1)
-            j -= 1
-    return cost
 
 
 def conjugation_scheme(
@@ -514,7 +495,7 @@ def base_filling(ctx: PulldownContext, w: Word) -> FillingExpression:
 
         raise NotNullHomotopicError(f"{w} is not trivial in the product")
     editor = WordEditor(ctx.presentation, w)
-    editor.sort_by_factor(ctx.spec.factor_of)
+    editor.sort(0, len(w), lambda x: ctx.spec.factor_of[x.gen])
     editor.free_to(EMPTY)
     return sequence_to_expression(ctx.presentation, editor.sequence())
 

@@ -451,44 +451,34 @@ def validate_expression(
     )
 
 
+def _cancellations(w: Word) -> Tuple[List[Tuple[int, Letter]], Tuple[Letter, ...]]:
+    """One stack walk over w: each cancelled pair as (position, first letter)
+    in replay order, and the letters of w's freely reduced form."""
+    removed: List[Tuple[int, Letter]] = []
+    stack: List[Letter] = []
+    for let in w:
+        if stack and stack[-1] == let.inverse():
+            removed.append((len(stack) - 1, stack.pop()))
+        else:
+            stack.append(let)
+    return removed, tuple(stack)
+
+
 def contraction_moves(w: Word) -> List[FreeContract]:
     """Free contractions reducing w to its freely reduced form, in replay order."""
-    moves: List[FreeContract] = []
-    stack: List[Letter] = []
-    for let in w:
-        if stack and stack[-1] == let.inverse():
-            moves.append(FreeContract(len(stack) - 1))
-            stack.pop()
-        else:
-            stack.append(let)
-    return moves
-
-
-def expansion_moves_for(w: Word) -> List[FreeExpand]:
-    """Free expansions building w back up from its freely reduced form."""
-    expands = []
-    # undo contractions in reverse: a contract at p removing (x, x^-1)
-    # reverses to an expand at p inserting that pair
-    stack: List[Letter] = []
-    removed: List[Tuple[int, Letter]] = []
-    for let in w:
-        if stack and stack[-1] == let.inverse():
-            removed.append((len(stack) - 1, stack[-1]))
-            stack.pop()
-        else:
-            stack.append(let)
-    for pos, letter in reversed(removed):
-        expands.append(FreeExpand(pos, letter))
-    return expands
+    return [FreeContract(pos) for pos, _ in _cancellations(w)[0]]
 
 
 def free_equality_sequence(w1: Word, w2: Word) -> DerivationSequence:
-    """Area-0 sequence from w1 to w2 through the common reduced form."""
-    if free_reduce(w1) != free_reduce(w2):
+    """Area-0 sequence from w1 to w2 through the common reduced form: w1's
+    cancellations as contractions, then w2's undone in reverse, each
+    contraction at p of (x, x^-1) becoming an expansion at p of that pair."""
+    removed1, reduced1 = _cancellations(w1)
+    removed2, reduced2 = _cancellations(w2)
+    if reduced1 != reduced2:
         raise NotFreelyEqualError(f"{w1} and {w2} are not freely equal")
-    moves: List[RewriteMove] = []
-    moves.extend(contraction_moves(w1))
-    moves.extend(expansion_moves_for(w2))
+    moves: List[RewriteMove] = [FreeContract(pos) for pos, _ in removed1]
+    moves.extend(FreeExpand(pos, let) for pos, let in reversed(removed2))
     return DerivationSequence(w1, moves)
 
 

@@ -158,14 +158,16 @@ class WordEditor:
             hi = min((p for p in idxs if p >= j - 1), default=end)
             cost += self._alternate(lo, hi)
 
-    def sort_by_factor(self, factor_of) -> int:
-        """Stable insertion sort of the whole word by factor index, one
-        transposition at a time."""
+    def sort(self, lo: int, hi: int, key, swap=None) -> int:
+        """Stable insertion sort of the letters in [lo, hi) by key, one
+        adjacent transposition at a time.  swap(editor, pos) performs a
+        transposition and returns its relator cost; it defaults to
+        WordEditor.swap."""
+        swap = swap or WordEditor.swap
         cost = 0
-        n = len(self.word)
-        for i in range(1, n):
+        for i in range(lo + 1, hi):
             j = i
-            while j > 0 and factor_of[self.word[j - 1].gen] > factor_of[self.word[j].gen]:
-                cost += self.swap(j - 1)
+            while j > lo and key(self.word[j - 1]) > key(self.word[j]):
+                cost += swap(self, j - 1)
                 j -= 1
         return cost

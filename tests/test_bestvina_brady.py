@@ -180,7 +180,7 @@ def test_null_homotopy_to_power_sequence():
         from fillcalc.seqbuild import WordEditor
 
         editor = WordEditor(model.pres, model.power_word(cycle, n))
-        cost = model.fill_cycle_power(editor, 0, cycle, n)
+        cost = model.fill_cycle_power(editor, 0, model.null_homotopy(cycle), n)
         editor.free_to(EMPTY)
         acct = replay_sequence(model.pres, editor.sequence())
         assert acct.endpoints[1] == EMPTY
@@ -323,6 +323,57 @@ def test_null_homotopy_validation():
     )
     with pytest.raises(ValueError):
         null_homotopy_to_sequence(K3, K3_TREE, bad, 1)
+
+
+def test_null_homotopy_to_sequence_leaves_model_cache_alone():
+    from fillcalc.bestvina_brady import (
+        CombinatorialNullHomotopy,
+        NullHomotopyMove,
+        null_homotopy_to_sequence,
+    )
+
+    model = BBModel(K3, K3_TREE)
+    cycle = model.edge_cycle(("a", "b"))
+    padding = (
+        NullHomotopyMove("1-expand", 0, (("a", "b"),)),
+        NullHomotopyMove("1-collapse", 0),
+    )
+    padded = CombinatorialNullHomotopy(
+        cycle, padding + find_null_homotopy(K3, cycle).moves
+    )
+    seq = null_homotopy_to_sequence(K3, K3_TREE, padded, 2, model)
+    assert replay_sequence(model.pres, seq).endpoints[1] == EMPTY
+    # the padded homotopy is translated, but K still comes from the
+    # model's own shortest homotopies
+    assert model.K == 3
+    assert scheme_bound(model, "stable", 2) == 50
+
+
+@pytest.mark.parametrize("kind,bad,good", [
+    ("1-expand", (("b", "c"),), (("a", "c"),)),
+    ("2-expand", (("b", "c"), ("c", "a"), ("a", "b")),
+     (("a", "b"), ("b", "c"), ("c", "a"))),
+])
+def test_expansion_at_seam_must_start_at_first_vertex(kind, bad, good):
+    from fillcalc.bestvina_brady import (
+        CombinatorialNullHomotopy,
+        NullHomotopyMove,
+        _is_cycle,
+        apply_null_homotopy_move,
+        replay_null_homotopy,
+    )
+
+    cycle = (("a", "b"), ("b", "a"))
+    with pytest.raises(ValueError, match="junction vertex"):
+        apply_null_homotopy_move(K3, cycle, NullHomotopyMove(kind, 0, bad))
+    grown = apply_null_homotopy_move(K3, cycle, NullHomotopyMove(kind, 0, good))
+    assert grown[: len(good)] == good and _is_cycle(K3, grown)
+    nh = CombinatorialNullHomotopy(cycle, (
+        NullHomotopyMove("1-expand", 2, (("a", "c"),)),
+        NullHomotopyMove(kind, 0, bad),
+    ))
+    with pytest.raises(ValueError, match="^move 1: "):
+        replay_null_homotopy(K3, nh)
 
 
 def test_dicks_leary_warns_on_suspect_homology():
