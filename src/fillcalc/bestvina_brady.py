@@ -397,6 +397,8 @@ def apply_null_homotopy_move(
     attach = _attach(cyc, k)
     if move.kind == "1-expand":
         (e,) = move.edges
+        if frozenset(e) not in delta.edge_set:
+            raise ValueError(f"{e} is not an edge")
         if attach is not None and e[0] != attach:
             raise ValueError("edge does not start at the junction vertex")
         return cyc[:k] + (e, (e[1], e[0])) + cyc[k:]

@@ -27,9 +27,24 @@ __all__ = [
 
 
 def load_presentation(data) -> GroupPresentation:
+    """A presentation from ``{"generators": [...], "relators": [...]}``;
+    ``relators`` may be left out.  A malformed file raises ``ValueError``
+    naming the field."""
+    if not isinstance(data, dict):
+        raise ValueError("a presentation must be a JSON object")
+    if "generators" not in data:
+        raise ValueError("presentation field 'generators' is missing")
     return GroupPresentation(
-        data["generators"], tuple(word(text) for text in data.get("relators", ()))
+        _strings(data, "generators"),
+        tuple(word(text) for text in _strings(data, "relators")),
     )
+
+
+def _strings(data: dict, name: str):
+    value = data.get(name, [])
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"presentation field {name!r} must be a list of strings")
+    return value
 
 
 def dump_presentation(pres: GroupPresentation) -> dict:

@@ -9,7 +9,7 @@ budget's word-length cap; exhaustion is a distinguishable outcome.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import intlinalg
@@ -291,6 +291,44 @@ def _witnessed(
     return AreaResult("area", acct.area, seq, 0 if area is None else area, states)
 
 
+class _Ball:
+    """One side of an exact area search: the states reachable from ``root``
+    within the length cap, grown breadth-first on demand.
+
+    ``levels[d]`` lists the states at distance d in discovery order, and
+    ``ends[d][i]`` is where the states first reached from ``levels[d][i]``
+    end in ``levels[d + 1]``.  The ball grows one expanded state at a time,
+    in breadth-first order, so it always holds complete levels and then a
+    prefix of the next one; a search cut inside a level leaves such a
+    prefix, which the next search through the same ball resumes.
+    Breadth-first growth from a fixed root at a fixed cap is deterministic,
+    so the side rooted at the empty word serves every search with that cap.
+    """
+
+    def __init__(self, coder: _Coder, cap: int, root: str):
+        self.coder = coder
+        self.cap = cap
+        self.dist = {root: 0}
+        self.parent: Dict[str, str] = {}
+        self.levels: List[List[str]] = [[root]]
+        self.ends: List[List[int]] = [[]]
+
+    def grow(self, d: int) -> None:
+        """Expand the first state of level d that is not yet expanded."""
+        ends = self.ends[d]
+        if not ends:
+            self.levels.append([])
+            self.ends.append([])
+        s = self.levels[d][len(ends)]
+        level, dist, parent = self.levels[d + 1], self.dist, self.parent
+        for t, _, _ in self.coder.moves(s, self.cap):
+            if t not in dist:
+                dist[t] = d + 1
+                parent[t] = s
+                level.append(t)
+        ends.append(len(level))
+
+
 def area_exact(
     pres: GroupPresentation, w: Word, budget: SearchBudget = DEFAULT_BUDGET
 ) -> AreaResult:
@@ -301,6 +339,16 @@ def area_exact(
     underlying move relation is symmetric, so the meet point yields a witness
     sequence, which is replay-validated before being returned.
     """
+    return _area(pres, w, budget, {})
+
+
+def _area(
+    pres: GroupPresentation, w: Word, budget: SearchBudget, balls: Dict[int, _Ball]
+) -> AreaResult:
+    """area_exact, taking the side rooted at the empty word from ``balls``
+    (one ball per length cap, added when missing).  A search sees only the
+    levels it has reached itself, so its result does not depend on what
+    earlier searches grew."""
     pres.check_word(w)
     coder = _coder(pres)
     clock = _Clock(budget)
@@ -315,63 +363,66 @@ def area_exact(
     if not intlinalg.in_lattice(coder.basis, coder.abelian_vector(start)):
         return AreaResult("not-null-homotopic", states=0)
 
-    dist = ({start: 0}, {"": 0})
-    parent: Tuple[Dict[str, str], Dict[str, str]] = ({}, {})
-    frontier = ([start], [""])
+    empty = balls.get(cap)
+    if empty is None:
+        empty = balls[cap] = _Ball(coder, cap, "")
+    sides = (_Ball(coder, cap, start), empty)
     depth = [0, 0]
     best: Optional[Tuple[int, str]] = None
 
-    def finish(meet: str) -> AreaResult:
-        path = _chain(parent[0], meet, start)[::-1] + _chain(parent[1], meet, "")[1:]
-        return _witnessed(pres, coder, w, path, len(dist[0]) + len(dist[1]), best[0])
+    def finish(meet: str, states: int) -> AreaResult:
+        path = _chain(sides[0].parent, meet, start)[::-1]
+        path += _chain(sides[1].parent, meet, "")[1:]
+        return _witnessed(pres, coder, w, path, states, best[0])
 
-    def stop() -> AreaResult:
+    def stop(states: int) -> AreaResult:
         """A budget cut, possibly inside a level: the meet if the completed
         levels prove it minimal, else the lower bound they prove."""
         lower = depth[0] + depth[1] + 1
         if best is not None and best[0] <= lower:
-            return finish(best[1])
-        return AreaResult(
-            "budget-exhausted", lower_bound=lower, states=len(dist[0]) + len(dist[1])
-        )
+            return finish(best[1], states)
+        return AreaResult("budget-exhausted", lower_bound=lower, states=states)
 
+    # the states this search has reached on both sides, counted as a fresh
+    # search adds them: the two roots, then each state as it is reached
+    states = 2
+    max_states = budget.max_states
     while True:
         if best is not None and best[0] <= depth[0] + depth[1] + 1:
-            return finish(best[1])
+            return finish(best[1], states)
+        frontier = (sides[0].levels[depth[0]], sides[1].levels[depth[1]])
         if not frontier[0] or not frontier[1]:
             if best is not None:
-                return finish(best[1])
+                return finish(best[1], states)
             return AreaResult(
-                "not-null-homotopic",
-                lower_bound=depth[0] + depth[1] + 1,
-                states=len(dist[0]) + len(dist[1]),
+                "not-null-homotopic", lower_bound=depth[0] + depth[1] + 1, states=states
             )
-        if (
-            len(dist[0]) + len(dist[1]) > budget.max_states
-            or (budget.max_area is not None and depth[0] + depth[1] + 1 > budget.max_area)
+        if states > max_states or (
+            budget.max_area is not None and depth[0] + depth[1] + 1 > budget.max_area
         ):
-            return stop()
+            return stop(states)
         side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
-        mine, other = dist[side], dist[1 - side]
-        level: List[str] = []
-        d = depth[side] + 1
-        for s in frontier[side]:
+        mine, other, reached = sides[side], sides[1 - side].dist, depth[1 - side]
+        d = depth[side]
+        ends = mine.ends[d]
+        lo = 0
+        for i in range(len(frontier[side])):
             if clock.expired():
-                return stop()
-            for t, _, _ in coder.moves(s, cap):
-                if t in mine:
-                    continue
-                mine[t] = d
-                parent[side][t] = s
-                level.append(t)
-                if t in other:
-                    total = d + other[t]
-                    if best is None or total < best[0]:
-                        best = (total, t)
-                if len(mine) + len(other) > budget.max_states:
-                    return stop()
-        frontier[side][:] = level
-        depth[side] = d
+                return stop(states)
+            if i == len(ends):
+                mine.grow(d)
+            hi = ends[i]
+            for t in mine.levels[d + 1][lo:hi]:
+                states += 1
+                # the other side may have grown past this search's levels
+                e = other.get(t)
+                if e is not None and e <= reached:
+                    if best is None or d + 1 + e < best[0]:
+                        best = (d + 1 + e, t)
+                if states > max_states:
+                    return stop(states)
+            lo = hi
+        depth[side] = d + 1
 
 
 def find_filling(
@@ -412,11 +463,29 @@ def find_filling(
 
 
 @dataclass(frozen=True)
+class DehnStats:
+    """Where a Dehn sweep's words went: every enumerated word is rejected
+    as not cyclically reduced, rejected by the relator lattice, a cyclic
+    duplicate of a word already searched, or searched.  ``search_states``
+    sums the searches' ``states``; ``empty_side_states`` counts the states
+    grown on the empty-word side, which the searches of one cap share."""
+
+    enumerated: int = 0
+    not_cyclically_reduced: int = 0
+    off_lattice: int = 0
+    cyclic_duplicates: int = 0
+    searched: int = 0
+    search_states: int = 0
+    empty_side_states: int = 0
+
+
+@dataclass(frozen=True)
 class DehnSample:
     kind: str  # "value" | "budget-exhausted"
     value: Optional[int] = None
     witness: Optional[Word] = None
     words_checked: int = 0
+    stats: DehnStats = field(default=DehnStats(), compare=False)
 
 
 def _cyclic_key(s: str, inv: Mapping[str, str]) -> str:
@@ -428,6 +497,27 @@ def _cyclic_key(s: str, inv: Mapping[str, str]) -> str:
     return min(variants)
 
 
+def _reduced_words(coder: _Coder, length: int) -> Iterable[Tuple[str, int]]:
+    """Every nonempty freely reduced encoded word of length <= ``length``,
+    depth first: a word, then each one-letter extension in code order.
+
+    Each word comes with its abelian vector packed into one integer, kept
+    per prefix: digit g, in balanced base 2 * length + 1, is the exponent
+    sum of generator g, so equal integers mean equal vectors.
+    """
+    radix = 2 * length + 1
+    step = {chr(c): sign * radix**pos for c, (pos, sign) in enumerate(coder.abelian)}
+    inv = coder.inv
+    codes = sorted(step, reverse=True)
+    stack = [(c, step[c]) for c in codes] if length else []
+    while stack:
+        s, vec = stack.pop()
+        yield s, vec
+        if len(s) < length:
+            back = inv[s[-1]]
+            stack.extend([(s + c, vec + step[c]) for c in codes if c != back])
+
+
 def dehn_sample(
     pres: GroupPresentation, length: int, budget: SearchBudget = DEFAULT_BUDGET
 ) -> DehnSample:
@@ -436,47 +526,62 @@ def dehn_sample(
     Enumerates cyclically reduced words (area is invariant under cyclic
     conjugation, inversion and free reduction, so one representative per
     class suffices), filters by the abelianized-relator lattice, and decides
-    each survivor with area_exact.
+    each survivor as area_exact does.  The searches of one length cap share
+    the side rooted at the empty word, which changes no result.
     """
+    if length < 0:
+        raise ValueError("length must be non-negative")
     coder = _coder(pres)
-    basis = coder.basis
-    letters = list(range(len(coder.letters)))
     inv = coder.inv
     best = 0
     best_witness: Word = EMPTY
-    checked = 0
-    seen = set()
     clock = _Clock(budget)
-
-    def explore(prefix: List[int]) -> Iterable[str]:
-        if prefix:
-            yield "".join(map(chr, prefix))
-        if len(prefix) == length:
-            return
-        for i in letters:
-            if prefix and chr(i) == inv[chr(prefix[-1])]:
-                continue
-            yield from explore(prefix + [i])
-
-    for s in explore([]):
+    seen = set()
+    lattice: Dict[int, bool] = {}
+    balls: Dict[int, _Ball] = {}
+    kind = "value"
+    enumerated = not_reduced = off_lattice = duplicates = searched = states = 0
+    for s, vec in _reduced_words(coder, length):
+        enumerated += 1
         if clock.expired():
-            return DehnSample("budget-exhausted", words_checked=checked)
-        if s and inv[s[0]] == s[-1]:
-            continue  # not cyclically reduced
-        if not intlinalg.in_lattice(basis, coder.abelian_vector(s)):
+            kind = "budget-exhausted"
+            break
+        if inv[s[0]] == s[-1]:
+            not_reduced += 1
+            continue
+        ok = lattice.get(vec)
+        if ok is None:
+            ok = intlinalg.in_lattice(coder.basis, coder.abelian_vector(s))
+            lattice[vec] = ok
+        if not ok:
+            off_lattice += 1
             continue
         key = _cyclic_key(s, inv)
         if key in seen:
+            duplicates += 1
             continue
         seen.add(key)
         w = coder.decode(s)
-        result = area_exact(pres, w, budget)
-        checked += 1
+        result = _area(pres, w, budget, balls)
+        searched += 1
+        states += result.states
         if result.kind == "budget-exhausted":
-            return DehnSample("budget-exhausted", words_checked=checked)
+            kind = "budget-exhausted"
+            break
         if result.kind == "area" and result.area > best:
             best, best_witness = result.area, w
-    return DehnSample("value", best, best_witness, checked)
+    stats = DehnStats(
+        enumerated,
+        not_reduced,
+        off_lattice,
+        duplicates,
+        searched,
+        states,
+        sum(len(ball.dist) for ball in balls.values()),
+    )
+    if kind == "budget-exhausted":
+        return DehnSample(kind, words_checked=searched, stats=stats)
+    return DehnSample(kind, best, best_witness, searched, stats)
 
 
 class DirectProductSpec:

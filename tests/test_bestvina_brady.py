@@ -384,3 +384,23 @@ def test_dicks_leary_warns_on_suspect_homology():
         warnings.simplefilter("always")
         dicks_leary_presentation(c4)
     assert any("simply" in str(w.message) for w in caught)
+
+
+def test_one_expand_needs_an_edge_of_the_complex():
+    from fillcalc.bestvina_brady import (
+        CombinatorialNullHomotopy,
+        NullHomotopyMove,
+        apply_null_homotopy_move,
+        replay_null_homotopy,
+    )
+
+    cycle = (("a", "b"), ("b", "a"))
+    for edge in (("a", "z"), ("a", "a")):
+        with pytest.raises(ValueError, match="is not an edge"):
+            apply_null_homotopy_move(K3, cycle, NullHomotopyMove("1-expand", 2, (edge,)))
+    nh = CombinatorialNullHomotopy(cycle, (
+        NullHomotopyMove("1-expand", 2, (("a", "z"),)),
+        NullHomotopyMove("1-collapse", 2),
+    ))
+    with pytest.raises(ValueError, match="^move 0: "):
+        replay_null_homotopy(K3, nh)

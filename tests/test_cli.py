@@ -268,3 +268,31 @@ def test_construct_fiber(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdicts"]["complete"] is False
     assert report["verdicts"]["generators"]
+
+
+@pytest.mark.parametrize("data,field", [
+    pytest.param({"relators": ["x y x' y'"]}, "'generators' is missing",
+                 id="no-generators"),
+    pytest.param({"generators": "x y"}, "'generators' must be a list of strings",
+                 id="generators-string"),
+    pytest.param({"generators": ["x", 2]}, "'generators' must be a list of strings",
+                 id="generator-number"),
+    pytest.param({"generators": ["x"], "relators": [5]},
+                 "'relators' must be a list of strings", id="relator-number"),
+    pytest.param({"generators": ["x"], "relators": "x x"},
+                 "'relators' must be a list of strings", id="relators-string"),
+    pytest.param(["x"], "must be a JSON object", id="not-an-object"),
+])
+@pytest.mark.parametrize("command", [["dehn", "--length", "2"], ["area", "--word", "x"]],
+                         ids=["dehn", "area"])
+def test_malformed_presentation_is_a_usage_error(tmp_path, capsys, data, field,
+                                                 command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(command[:1] + ["--presentation", str(path)] + command[1:]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_dehn_rejects_negative_length(z2, capsys):
+    assert main(["dehn", "--presentation", z2, "--length", "-3"]) == 2
+    assert "length must be non-negative" in capsys.readouterr().err

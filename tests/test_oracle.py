@@ -251,6 +251,144 @@ def test_dehn_z2_length_8():
     assert res.witness is not None and len(res.witness) == 8
 
 
+def test_dehn_rejects_negative_length():
+    with pytest.raises(ValueError, match="non-negative"):
+        dehn_sample(Z2, -3)
+
+
+Z3 = GroupPresentation(
+    ("x", "y", "z"), tuple(word(r) for r in ("x y x' y'", "x z x' z'", "y z y' z'"))
+)
+SWEPT = {"Z2": Z2, "K3": SEARCHED["K3"], "Z3": Z3}
+
+
+def null_word(pres, terms):
+    """The reduced product of conjugates u r^sign u^-1 of relators r."""
+    gens = pres.generators
+    out = Word()
+    for conj, rel, sign in terms:
+        u = Word(tuple(Letter(gens[c % len(gens)], 1 - 2 * (c & 1)) for c in conj))
+        r = pres.relators[rel % len(pres.relators)]
+        out = concat(out, u, r if sign else r.inverse(), u.inverse())
+    return free_reduce(out)
+
+
+NULL_TERMS = st.lists(
+    st.tuples(st.lists(st.integers(0, 11), max_size=2), st.integers(0, 2), st.booleans()),
+    min_size=1,
+    max_size=2,
+)
+
+
+def same_search(a, b):
+    return (a.kind, a.area, a.lower_bound, a.states, a.witness) == (
+        b.kind, b.area, b.lower_bound, b.states, b.witness
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    searches=st.lists(
+        st.tuples(NULL_TERMS, st.sampled_from([20_000, 2_000, 60, 7]), st.booleans()),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_shared_empty_side_matches_fresh_searches(name, searches):
+    """Searches through one ball per cap, some cut inside a level by a state
+    budget, each return what a fresh area_exact returns: kind, area, lower
+    bound, states and witness moves."""
+    pres = SWEPT[name]
+    balls = {}
+    for terms, max_states, fixed_cap in searches:
+        w = null_word(pres, terms)
+        budget = SearchBudget(12 if fixed_cap else None, max_states)
+        shared = oracle._area(pres, w, budget, balls)
+        assert same_search(shared, area_exact(pres, w, budget))
+
+
+@pytest.mark.parametrize("name, text", [
+    ("Z2", "x x y y x' x' y' y'"),
+    ("Z3", "x x y z x' x' z' y'"),
+    ("K3", "a_b a_b b_a a_b' c_a' b_a a_b c_a"),
+])
+def test_cut_searches_leave_the_shared_side_resumable(name, text):
+    """State budgets cut a run of about 60 searches through one ball, so
+    later searches resume levels that earlier ones left partial."""
+    pres, w = SWEPT[name], word(text)
+    full = area_exact(pres, w, SearchBudget(max_word_length=len(w) + 2)).states
+    balls = {}
+    for max_states in list(range(1, full + 1, full // 60 + 1)) + [full]:
+        budget = SearchBudget(max_word_length=len(w) + 2, max_states=max_states)
+        shared = oracle._area(pres, w, budget, balls)
+        assert same_search(shared, area_exact(pres, w, budget))
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(terms=NULL_TERMS)
+def test_area_of_inverse_word(name, terms):
+    pres = SWEPT[name]
+    w = null_word(pres, terms)
+    budget = SearchBudget(max_word_length=len(w) + 4, max_states=50_000)
+    a, b = area_exact(pres, w, budget), area_exact(pres, w.inverse(), budget)
+    if "budget-exhausted" not in (a.kind, b.kind):
+        assert (a.kind, a.area) == (b.kind, b.area)
+
+
+def explore(coder, length, prefix=()):
+    """Every nonempty freely reduced encoded word of length <= length, by
+    recursion: a word, then its extensions in code order."""
+    if prefix:
+        yield "".join(map(chr, prefix))
+    if len(prefix) == length:
+        return
+    for i in range(len(coder.letters)):
+        if prefix and chr(i) == coder.inv[chr(prefix[-1])]:
+            continue
+        yield from explore(coder, length, prefix + (i,))
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT) + ["free"])
+def test_stack_enumeration_matches_recursion(name):
+    """The same words in the same order, and packed vectors that are equal
+    exactly when the abelian vectors are."""
+    coder = oracle._coder(SWEPT.get(name, FREE))
+    for length in range(5):
+        got = list(oracle._reduced_words(coder, length))
+        assert [s for s, _ in got] == list(explore(coder, length))
+        vectors = {}
+        for s, vec in got:
+            vector = coder.abelian_vector(s)
+            assert vectors.setdefault(vec, vector) == vector
+        assert len(vectors) == len({tuple(coder.abelian_vector(s)) for s, _ in got})
+
+
+def test_dehn_stats_account_for_every_word(monkeypatch):
+    budget = SearchBudget(max_word_length=12)
+    searched = []
+    area = oracle._area
+
+    def recording(pres, w, budget, balls):
+        searched.append(w)
+        return area(pres, w, budget, balls)
+
+    monkeypatch.setattr(oracle, "_area", recording)
+    res = dehn_sample(Z2, 6, budget)
+    monkeypatch.undo()
+    stats = res.stats
+    assert stats.enumerated == (
+        stats.not_cyclically_reduced + stats.off_lattice + stats.cyclic_duplicates
+        + stats.searched
+    )
+    assert stats.searched == res.words_checked == len(searched)
+    assert stats.search_states == sum(area_exact(Z2, w, budget).states for w in searched)
+    # one cap, so one empty-word side
+    assert 0 < stats.empty_side_states < stats.search_states
+    assert res == dataclasses.replace(res, stats=oracle.DehnStats())
+
+
 SPEC22 = DirectProductSpec(
     (("x1", "y1"), ("x2", "y2")),
     theta=ChargeMap(1, {"x1": (1,), "y1": (0,), "x2": (1,), "y2": (0,)}),
