@@ -13,7 +13,7 @@ from .rewriting import (
     Scheme,
     SchemeRow,
 )
-from .words import ChargeMap, word
+from .words import ChargeMap, Word, word
 
 __all__ = [
     "load_presentation",
@@ -28,23 +28,67 @@ __all__ = [
 
 def load_presentation(data) -> GroupPresentation:
     """A presentation from ``{"generators": [...], "relators": [...]}``;
-    ``relators`` may be left out.  A malformed file raises ``ValueError``
-    naming the field."""
-    if not isinstance(data, dict):
-        raise ValueError("a presentation must be a JSON object")
-    if "generators" not in data:
-        raise ValueError("presentation field 'generators' is missing")
+    ``relators`` may be left out."""
+    what = "presentation"
+    data = _object(data, what)
     return GroupPresentation(
-        _strings(data, "generators"),
-        tuple(word(text) for text in _strings(data, "relators")),
+        _field(data, what, "generators", _is_strings, "a list of strings"),
+        tuple(
+            word(text)
+            for text in _field(data, what, "relators", _is_strings,
+                               "a list of strings", default=[])
+        ),
     )
 
 
-def _strings(data: dict, name: str):
-    value = data.get(name, [])
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"presentation field {name!r} must be a list of strings")
+# Every loader checks its fields with the helpers below: a malformed file
+# raises ValueError naming the field, which the CLI reports as a usage error.
+
+_REQUIRED = object()
+
+
+def _object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return data
+
+
+def _field(data: dict, what: str, name: str, check, expected: str,
+           default=_REQUIRED):
+    """``data[name]`` if ``check`` accepts it; a missing field falls back to
+    ``default`` when one is given."""
+    if name not in data:
+        if default is _REQUIRED:
+            raise ValueError(f"{what} field {name!r} is missing")
+        return default
+    value = data[name]
+    if not check(value):
+        raise ValueError(f"{what} field {name!r} must be {expected}")
     return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_ints(value) -> bool:
+    return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _int(data: dict, what: str, name: str) -> int:
+    return _field(data, what, name, _is_int, "an integer")
+
+
+def _word(data: dict, what: str, name: str) -> Word:
+    text = _field(data, what, name, lambda v: isinstance(v, str), "a word string")
+    try:
+        return word(text)
+    except ValueError as exc:
+        raise ValueError(f"{what} field {name!r}: {exc}") from None
 
 
 def dump_presentation(pres: GroupPresentation) -> dict:
@@ -55,34 +99,41 @@ def dump_presentation(pres: GroupPresentation) -> dict:
 
 
 def load_scheme(data) -> Scheme:
-    rows = []
-    for row in data["rows"]:
-        heights = row.get("heights")
-        rows.append(
+    """A scheme from ``{"rows": [{"word": ..., "area": ...}, ...]}``; a row
+    may also give its ``heights`` as a list of integers."""
+    rows = _field(_object(data, "scheme"), "scheme", "rows",
+                  lambda v: isinstance(v, list), "a list of rows")
+    out = []
+    for i, row in enumerate(rows):
+        what = f"scheme row {i}"
+        row = _object(row, what)
+        heights = _field(row, what, "heights", lambda v: v is None or _is_ints(v),
+                         "a list of integers", default=None)
+        out.append(
             SchemeRow(
-                word(row["word"]),
-                int(row["area"]),
+                _word(row, what, "word"),
+                _int(row, what, "area"),
                 tuple(heights) if heights is not None else None,
             )
         )
-    return Scheme(tuple(rows))
+    return Scheme(tuple(out))
 
 
-def _load_move(data):
-    op = data["op"]
+def _load_move(data, what: str):
+    data = _object(data, what)
+    op = _field(data, what, "op", lambda v: v in ("contract", "expand", "relator"),
+                "'contract', 'expand' or 'relator'")
+    pos = _int(data, what, "pos")
     if op == "contract":
-        return FreeContract(int(data["pos"]))
+        return FreeContract(pos)
     if op == "expand":
-        return FreeExpand(int(data["pos"]), word(data["letter"])[0])
-    if op == "relator":
-        return ApplyRelator(
-            int(data["pos"]),
-            int(data["rel"]),
-            int(data["sign"]),
-            int(data["rot"]),
-            int(data["split"]),
-        )
-    raise ValueError(f"unknown move op {op!r}")
+        letter = _word(data, what, "letter")
+        if len(letter) != 1:
+            raise ValueError(f"{what} field 'letter' must be a single letter")
+        return FreeExpand(pos, letter[0])
+    return ApplyRelator(
+        pos, *(_int(data, what, name) for name in ("rel", "sign", "rot", "split"))
+    )
 
 
 def _dump_move(move) -> dict:
@@ -101,8 +152,16 @@ def _dump_move(move) -> dict:
 
 
 def load_sequence(data) -> DerivationSequence:
+    """A sequence from ``{"start": ..., "moves": [...]}``, each move an object
+    whose ``op`` is ``contract`` (``pos``), ``expand`` (``pos``, ``letter``)
+    or ``relator`` (``pos``, ``rel``, ``sign``, ``rot``, ``split``)."""
+    what = "sequence"
+    data = _object(data, what)
+    start = _word(data, what, "start")
+    moves = _field(data, what, "moves", lambda v: isinstance(v, list),
+                   "a list of moves")
     return DerivationSequence(
-        word(data["start"]), tuple(_load_move(m) for m in data["moves"])
+        start, tuple(_load_move(m, f"sequence move {i}") for i, m in enumerate(moves))
     )
 
 
@@ -111,12 +170,31 @@ def dump_sequence(seq: DerivationSequence) -> dict:
 
 
 def load_charge_map(data) -> ChargeMap:
-    return ChargeMap(int(data["rank"]), {g: v for g, v in data["charges"].items()})
+    """A charge map from ``{"rank": r, "charges": {generator: [r integers]}}``."""
+    what = "charge map"
+    data = _object(data, what)
+    charges = _field(
+        data, what, "charges",
+        lambda v: isinstance(v, dict) and all(_is_ints(vec) for vec in v.values()),
+        "an object mapping generators to lists of integers",
+    )
+    return ChargeMap(_int(data, what, "rank"), charges)
 
 
 def load_flag_complex(data) -> FlagComplex:
+    """A flag complex from ``{"vertices": [...], "edges": [[u, v], ...]}``
+    and an optional ``base`` vertex."""
+    what = "flag complex"
+    data = _object(data, what)
+    edges = _field(
+        data, what, "edges",
+        lambda v: isinstance(v, list)
+        and all(_is_strings(e) and len(e) == 2 for e in v),
+        "a list of vertex pairs",
+    )
     return FlagComplex(
-        data["vertices"],
-        [tuple(e) for e in data["edges"]],
-        data.get("base"),
+        _field(data, what, "vertices", _is_strings, "a list of strings"),
+        [tuple(e) for e in edges],
+        _field(data, what, "base", lambda v: v is None or isinstance(v, str),
+               "a vertex name", default=None),
     )

@@ -83,7 +83,13 @@ class PulldownContext:
     """A direct product of free groups with a charge map whose k-th unit
     direction is carried by the k-th generator of every factor; all other
     generators have zero charge.  The distinguished letters of the first
-    three factors drive the pulling-down formulas."""
+    three factors drive the pulling-down formulas.
+
+    A context is read-only after construction.  Its two tables, keyed by
+    (direction, letter, level), are filled on first use and shared by every
+    later call: each letter's pulled-down letters with its charge step (see
+    ``phi``), and each letter's conversion sequence (see
+    ``conjugation_scheme``)."""
 
     def __init__(self, spec: DirectProductSpec):
         if spec.theta is None:
@@ -108,6 +114,8 @@ class PulldownContext:
         self.theta = theta
         self.rank = r
         self._pres = spec.presentation()
+        self._pulled: Dict[Tuple[int, Letter, int], Tuple[Tuple[Letter, ...], int]] = {}
+        self._conversions: Dict[Tuple[int, Letter, int], DerivationSequence] = {}
 
     @property
     def presentation(self) -> GroupPresentation:
@@ -178,12 +186,22 @@ def phi(ctx: PulldownContext, k: int, w: Word, h: int) -> Word:
     substitution whose value is e_k^h w e_k^(-h-charge_k(w)) and whose
     direction-k height is at most one."""
     ctx.check_direction(k)
+    pulled = ctx._pulled
     out: List[Letter] = []
     level = h
     for let in w:
-        out.extend(_phi_letter(ctx, k, let, level).letters)
-        level += let.sign * ctx.letter_charge_k(let.gen, k)
-    return Word(out)
+        key = (k, let, level)
+        entry = pulled.get(key)
+        if entry is None:
+            # a generator outside the context raises here, before the store
+            entry = pulled[key] = (
+                _phi_letter(ctx, k, let, level).letters,
+                let.sign * ctx.letter_charge_k(let.gen, k),
+            )
+        letters, step = entry
+        out += letters
+        level += step
+    return Word._of(tuple(out))
 
 
 def _conjugated_by_powers(ctx: PulldownContext, k: int, w: Word, h: int) -> Word:
@@ -280,10 +298,16 @@ def conjugation_scheme(
     most 2|w|(height_k(w)+|h|+1)^2."""
     ctx.check_direction(k)
     editor = WordEditor(ctx.presentation, phi(ctx, k, w, h))
+    conversions = ctx._conversions
     level = h
     offset = 0
     for let in w:
-        sub = letter_conjugation_sequence(ctx, k, let, level)
+        sub = conversions.get((k, let, level))
+        if sub is None:
+            sub = conversions[k, let, level] = letter_conjugation_sequence(
+                ctx, k, let, level
+            )
+        # every spliced move is replayed again on the editor's word
         editor.apply_subsequence(offset, sub)
         t = let.sign * ctx.letter_charge_k(let.gen, k)
         offset += abs(level) + 1 + abs(level + t)

@@ -92,11 +92,14 @@ class GroupPresentation:
     usually written L.
 
     A presentation is read-only after construction.  Its relator index (see
-    ``relator_index``) and the search tables of the ``oracle`` module are
-    built once, on first use, and shared by every later call.
+    ``relator_index``), its table of relator-move halves and the search
+    tables of the ``oracle`` module are built on first use and shared by
+    every later call.
     """
 
-    __slots__ = ("generators", "relators", "_relator_index", "_search_tables")
+    __slots__ = (
+        "generators", "relators", "_relator_index", "_halves", "_search_tables"
+    )
 
     def __init__(self, generators: Iterable[str], relators: Iterable[Word] = ()):
         self.generators = tuple(dict.fromkeys(generators))
@@ -107,6 +110,8 @@ class GroupPresentation:
             if extra:
                 raise ValueError(f"relator {rel} uses unknown generators {sorted(extra)}")
         self._relator_index: Optional[RelatorIndex] = None
+        # owned by _relator_halves, which fills it one checked key at a time
+        self._halves: Dict[Tuple[int, int, int, int], Tuple[Word, Word]] = {}
         # owned by the oracle module, which builds them on its first search
         self._search_tables = None
 
@@ -170,7 +175,14 @@ RewriteMove = Union[FreeContract, FreeExpand, ApplyRelator]
 
 
 def _relator_halves(pres: GroupPresentation, move: ApplyRelator) -> Tuple[Word, Word]:
-    """The (replaced, replacement) pair encoded by an ApplyRelator move."""
+    """The (replaced, replacement) pair encoded by an ApplyRelator move, from
+    the presentation's table of halves.  A key is computed and stored only
+    once it passes the range checks, so a move out of range raises
+    ValueError on every call and leaves the table as it was."""
+    key = (move.rel, move.sign, move.rot, move.split)
+    halves = pres._halves.get(key)
+    if halves is not None:
+        return halves
     if not 0 <= move.rel < len(pres.relators):
         raise ValueError("relator index out of range")
     base = pres.relators[move.rel]
@@ -182,9 +194,8 @@ def _relator_halves(pres: GroupPresentation, move: ApplyRelator) -> Tuple[Word, 
     conj = cyclic_conjugate(signed, move.rot)
     if not 0 <= move.split <= len(conj):
         raise ValueError("split out of range")
-    replaced = conj[: move.split]
-    replacement = conj[move.split :].inverse()
-    return replaced, replacement
+    halves = pres._halves[key] = (conj[: move.split], conj[move.split :].inverse())
+    return halves
 
 
 def apply_move(pres: GroupPresentation, w: Word, move: RewriteMove) -> Word:
@@ -515,15 +526,16 @@ def sequence_to_expression(
     terms: List[Tuple[Word, int, int]] = []
     for w, move, _ in _walk(pres, seq):
         if isinstance(move, ApplyRelator):
-            base = pres.relators[move.rel]
-            signed = base if move.sign > 0 else base.inverse()
-            p, q = signed[: move.rot], signed[move.rot :]
-            alpha = w[: move.pos]
-            if len(q) <= move.split:
-                conj = concat(alpha, q)
+            # the signed relator is p q with |p| = rot, and its rotation q p
+            # is replaced followed by replacement^-1: q starts replaced when
+            # it fits in it, and otherwise p^-1 starts replacement
+            replaced, replacement = _relator_halves(pres, move)
+            len_q = len(replaced) + len(replacement) - move.rot
+            if len_q <= move.split:
+                tail = replaced.letters[:len_q]
             else:
-                conj = concat(alpha, p.inverse())
-            terms.append((conj, move.rel, move.sign))
+                tail = replacement.letters[: move.rot]
+            terms.append((Word._of(w.letters[: move.pos] + tail), move.rel, move.sign))
     return FillingExpression(terms)
 
 
@@ -644,6 +656,10 @@ def verify_scheme(
     """
     if (sequences is None) == (budget is None):
         raise ValueError("choose exactly one strategy: sequences or budget")
+    if sequences is not None and len(sequences) != len(scheme.rows):
+        raise ValueError(
+            f"{len(sequences)} sequences for a scheme of {len(scheme.rows)} rows"
+        )
     reports: List[RowReport] = []
     rows = scheme.rows
     for i, row in enumerate(rows):

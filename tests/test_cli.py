@@ -296,3 +296,108 @@ def test_malformed_presentation_is_a_usage_error(tmp_path, capsys, data, field,
 def test_dehn_rejects_negative_length(z2, capsys):
     assert main(["dehn", "--presentation", z2, "--length", "-3"]) == 2
     assert "length must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data,field", [
+    pytest.param({"vertices": ["a", "b"], "edges": [5]},
+                 "'edges' must be a list of vertex pairs", id="edge-number"),
+    pytest.param({"vertices": ["a", "b"], "edges": [["a", "b", "a"]]},
+                 "'edges' must be a list of vertex pairs", id="edge-triple"),
+    pytest.param({"vertices": ["a", "b"]}, "'edges' is missing", id="no-edges"),
+    pytest.param({"edges": []}, "'vertices' is missing", id="no-vertices"),
+    pytest.param({"vertices": "a b", "edges": []},
+                 "'vertices' must be a list of strings", id="vertices-string"),
+    pytest.param({"vertices": ["a"], "edges": [], "base": 1},
+                 "'base' must be a vertex name", id="base-number"),
+])
+def test_malformed_flag_complex_is_a_usage_error(tmp_path, capsys, data, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["bb", "--complex", str(path), "present"]) == 2
+    assert field in capsys.readouterr().err
+
+
+def _verify_with_sequences(tmp_path, scheme, sequences):
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text(json.dumps(scheme))
+    seq_path = tmp_path / "sequences.json"
+    seq_path.write_text(json.dumps(sequences))
+    presentation = tmp_path / "z2.json"
+    presentation.write_text(
+        json.dumps({"generators": ["x", "y"], "relators": ["x y x' y'"]})
+    )
+    return main(["verify-scheme", "--presentation", str(presentation),
+                 "--scheme", str(scheme_path), "--sequences", str(seq_path)])
+
+
+ONE_ROW = {"rows": [{"word": "x y x' y'", "area": 1}]}
+FILL = {"op": "relator", "pos": 0, "rel": 0, "sign": 1, "rot": 0, "split": 4}
+
+
+@pytest.mark.parametrize("moves,field", [
+    pytest.param([{"op": "expand", "pos": 0, "letter": "1"}, FILL],
+                 "'letter' must be a single letter", id="expand-empty-letter"),
+    pytest.param([{"op": "expand", "pos": 0, "letter": "x y"}, FILL],
+                 "'letter' must be a single letter", id="expand-two-letters"),
+    pytest.param([{"op": "expand", "pos": 0, "letter": "x!"}, FILL],
+                 "'letter': bad generator token", id="expand-bad-token"),
+    pytest.param([dict(FILL, split=1.5)], "'split' must be an integer",
+                 id="split-float"),
+    pytest.param([dict(FILL, rel="0")], "'rel' must be an integer", id="rel-string"),
+    pytest.param([dict(FILL, sign=True)], "'sign' must be an integer",
+                 id="sign-bool"),
+    pytest.param([{"op": "contract"}], "'pos' is missing", id="no-pos"),
+    pytest.param([{"op": "swap", "pos": 0}], "'op' must be", id="unknown-op"),
+    pytest.param([5], "sequence move 0 must be a JSON object", id="move-number"),
+])
+def test_malformed_sequence_is_a_usage_error(tmp_path, capsys, moves, field):
+    # the expand and split cases were accepted, or crashed with exit 1, before
+    # the sequence loader checked its fields
+    sequences = [{"start": "x y x' y'", "moves": moves}]
+    assert _verify_with_sequences(tmp_path, ONE_ROW, sequences) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme,sequences,field", [
+    pytest.param({"rows": [{"word": "x y x' y'"}]}, None, "'area' is missing",
+                 id="no-area"),
+    pytest.param({"rows": [{"word": "x y x' y'", "area": 1.5}]}, None,
+                 "'area' must be an integer", id="area-float"),
+    pytest.param({"rows": [{"word": "x y x' y'", "area": 1, "heights": ["1"]}]},
+                 None, "'heights' must be a list of integers", id="heights-string"),
+    pytest.param({"rows": [{"word": 5, "area": 1}]}, None,
+                 "scheme row 0 field 'word' must be a word string", id="word-number"),
+    pytest.param({"row": []}, None, "scheme field 'rows' is missing", id="no-rows"),
+    pytest.param(ONE_ROW, [{"moves": [FILL]}], "sequence field 'start' is missing",
+                 id="no-start"),
+    pytest.param({"rows": ONE_ROW["rows"] * 2}, None, "2 rows", id="too-few-sequences"),
+])
+def test_malformed_scheme_is_a_usage_error(tmp_path, capsys, scheme, sequences, field):
+    if sequences is None:
+        sequences = [{"start": "x y x' y'", "moves": [FILL]}]
+    assert _verify_with_sequences(tmp_path, scheme, sequences) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_well_formed_sequence_still_passes(tmp_path):
+    sequences = [{"start": "x y x' y'",
+                  "moves": [{"op": "expand", "pos": 0, "letter": "x'"},
+                            {"op": "contract", "pos": 0}, FILL]}]
+    assert _verify_with_sequences(tmp_path, ONE_ROW, sequences) == 0
+
+
+@pytest.mark.parametrize("data,field", [
+    pytest.param({"rank": 1}, "'charges' is missing", id="no-charges"),
+    pytest.param({"charges": {"x1": [1]}}, "'rank' is missing", id="no-rank"),
+    pytest.param({"rank": 1.5, "charges": {"x1": [1]}}, "'rank' must be an integer",
+                 id="rank-float"),
+    pytest.param({"rank": 1, "charges": {"x1": [0.5]}},
+                 "'charges' must be an object", id="charge-float"),
+    pytest.param({"rank": 1, "charges": [[1]]}, "'charges' must be an object",
+                 id="charges-list"),
+])
+def test_malformed_charge_map_is_a_usage_error(tmp_path, capsys, data, field):
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps(data))
+    assert main(["depth", "--theta", str(theta), "--factors", "x1 y1,x2 y2"]) == 2
+    assert field in capsys.readouterr().err
