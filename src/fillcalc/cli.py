@@ -18,7 +18,6 @@ from typing import List, Optional
 
 from . import acceptance, bestvina_brady as bb, fileio
 from .constructors import (
-    FiberPresentationInputs,
     KnmrSpec,
     depth_coabelian,
     fiber_presentation,
@@ -26,7 +25,6 @@ from .constructors import (
     k32_presentations,
     knmr_generators,
     cyclic_infinite_presentation,
-    PositiveNormalFormData,
 )
 from .oracle import (
     DirectProductSpec,
@@ -173,17 +171,7 @@ def _cmd_construct(args, report, started) -> int:
             }
     elif args.what == "cyclic":
         if args.data:
-            raw = _load_json(args.data)
-            data = PositiveNormalFormData(
-                base=fileio.load_presentation(raw["base"]),
-                stable=raw["stable"],
-                w_plus={g: word(t) for g, t in raw["w_plus"].items()},
-                w_minus=(
-                    {g: word(t) for g, t in raw["w_minus"].items()}
-                    if "w_minus" in raw
-                    else None
-                ),
-            )
+            data = fileio.load_pnf_data(_load_json(args.data))
             report["inputs"] = _digest(args.data)
         else:
             data = k32_pnf_data()
@@ -195,18 +183,7 @@ def _cmd_construct(args, report, started) -> int:
             ]
         }
     elif args.what == "fiber":
-        raw = _load_json(args.spec)
-        inputs = FiberPresentationInputs(
-            a1=tuple(raw["a1"]),
-            x1=tuple(raw["x1"]),
-            r1=tuple(word(t) for t in raw["r1"]),
-            r2=tuple(word(t) for t in raw["r2"]),
-            r3=tuple(word(t) for t in raw["r3"]),
-            a2=tuple(raw["a2"]),
-            x2=tuple(raw["x2"]),
-            r4=tuple(word(t) for t in raw["r4"]),
-            w_r4=tuple(word(t) for t in raw["w_r4"]) if "w_r4" in raw else None,
-        )
+        inputs = fileio.load_fiber_inputs(_load_json(args.spec))
         out = fiber_presentation(inputs)
         report["inputs"] = _digest(args.spec)
         report["verdicts"] = {

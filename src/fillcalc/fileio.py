@@ -1,9 +1,10 @@
-"""JSON file formats for presentations, schemes, sequences, charge maps and
-flag complexes."""
+"""JSON file formats for presentations, schemes, sequences, charge maps,
+flag complexes and the inputs of the presentation constructors."""
 
 from __future__ import annotations
 
 from .bestvina_brady import FlagComplex
+from .constructors import FiberPresentationInputs, PositiveNormalFormData
 from .rewriting import (
     ApplyRelator,
     DerivationSequence,
@@ -23,21 +24,18 @@ __all__ = [
     "dump_sequence",
     "load_charge_map",
     "load_flag_complex",
+    "load_pnf_data",
+    "load_fiber_inputs",
 ]
 
 
-def load_presentation(data) -> GroupPresentation:
+def load_presentation(data, what: str = "presentation") -> GroupPresentation:
     """A presentation from ``{"generators": [...], "relators": [...]}``;
     ``relators`` may be left out."""
-    what = "presentation"
     data = _object(data, what)
     return GroupPresentation(
         _field(data, what, "generators", _is_strings, "a list of strings"),
-        tuple(
-            word(text)
-            for text in _field(data, what, "relators", _is_strings,
-                               "a list of strings", default=[])
-        ),
+        _words(data, what, "relators", default=()),
     )
 
 
@@ -85,10 +83,28 @@ def _int(data: dict, what: str, name: str) -> int:
 
 def _word(data: dict, what: str, name: str) -> Word:
     text = _field(data, what, name, lambda v: isinstance(v, str), "a word string")
+    return _parse(text, what, name)
+
+
+def _parse(text: str, what: str, name: str) -> Word:
     try:
         return word(text)
     except ValueError as exc:
         raise ValueError(f"{what} field {name!r}: {exc}") from None
+
+
+def _words(data: dict, what: str, name: str, default=_REQUIRED):
+    texts = _field(data, what, name, _is_strings, "a list of strings", default)
+    return None if texts is None else tuple(_parse(t, what, name) for t in texts)
+
+
+def _word_map(data: dict, what: str, name: str, default=_REQUIRED):
+    texts = _field(
+        data, what, name,
+        lambda v: isinstance(v, dict) and all(isinstance(t, str) for t in v.values()),
+        "an object mapping generators to word strings", default,
+    )
+    return None if texts is None else {g: _parse(t, what, name) for g, t in texts.items()}
 
 
 def dump_presentation(pres: GroupPresentation) -> dict:
@@ -197,4 +213,38 @@ def load_flag_complex(data) -> FlagComplex:
         [tuple(e) for e in edges],
         _field(data, what, "base", lambda v: v is None or isinstance(v, str),
                "a vertex name", default=None),
+    )
+
+
+def load_pnf_data(data) -> PositiveNormalFormData:
+    """Positive normal form data from ``{"base": presentation, "stable":
+    letter, "w_plus": {generator: word}}`` and an optional ``w_minus`` of
+    the same shape."""
+    what = "positive normal form data"
+    data = _object(data, what)
+    return PositiveNormalFormData(
+        base=load_presentation(
+            _field(data, what, "base", lambda v: True, "a presentation"),
+            "base presentation",
+        ),
+        stable=_field(data, what, "stable", lambda v: isinstance(v, str),
+                      "a generator name"),
+        w_plus=_word_map(data, what, "w_plus"),
+        w_minus=_word_map(data, what, "w_minus", default=None),
+    )
+
+
+def load_fiber_inputs(data) -> FiberPresentationInputs:
+    """Fiber-product inputs from an object whose ``a1``, ``x1``, ``a2`` and
+    ``x2`` are lists of generator names and whose ``r1`` to ``r4`` are lists
+    of word strings, with an optional ``w_r4`` list of word strings."""
+    what = "fiber spec"
+    data = _object(data, what)
+    names = {
+        name: tuple(_field(data, what, name, _is_strings, "a list of strings"))
+        for name in ("a1", "x1", "a2", "x2")
+    }
+    relators = {name: _words(data, what, name) for name in ("r1", "r2", "r3", "r4")}
+    return FiberPresentationInputs(
+        **names, **relators, w_r4=_words(data, what, "w_r4", default=None)
     )

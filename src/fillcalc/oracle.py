@@ -161,6 +161,18 @@ class _Coder:
             anti = "".join(self.inv[c] for c in ins)
             n = len(conj)
             self.insertions.append((ins, anti, full, rel, -sign, (n - rot) % n))
+        # the inverse of each insertion, by length: the subwords of a state
+        # that an insertion cancels completely
+        self.cancelled: Dict[int, set] = {}
+        for ins, anti, *_ in self.insertions:
+            self.cancelled.setdefault(len(ins), set()).add(anti[::-1])
+        # every edge that is not a collapse has a reverse edge when every
+        # insertion is cyclically reduced and its rotations are insertions
+        self.reversible = all(
+            self.inv[ins[0]] != ins[-1]
+            and all(ins[r:] + ins[:r] in seen for r in range(len(ins)))
+            for ins in seen
+        )
         self.basis = intlinalg.hermite_rows(
             [self.abelian_vector(self.encode(rel)) for rel in pres.relators]
         )
@@ -239,16 +251,40 @@ class _Coder:
                 if n - (k - i) <= cap:
                     yield s[:i] + s[k:], entry, p
 
+    def collapses(self, s: str) -> Iterable[str]:
+        """The collapse targets of the reduced state s: for each subword of s
+        that an insertion cancels completely and that lies between two
+        mutually inverse letters, s with the subword removed and its halves
+        reduced against each other, as in u r u^-1 -> empty.
+
+        Every collapse target is a successor in ``moves``.  When
+        ``reversible``, s is a successor of every other successor t of s, so
+        a search edge without a reverse edge is a collapse.
+        """
+        inv = self.inv
+        n = len(s)
+        for m, cancelled in self.cancelled.items():
+            for i in range(1, n - m):
+                k = i + m
+                if s[i - 1] == inv[s[k]] and s[i:k] in cancelled:
+                    while i and k < n and s[i - 1] == inv[s[k]]:
+                        i -= 1
+                        k += 1
+                    yield s[:i] + s[k:]
+
     def edge_moves(self, s: str, d: str) -> List:
         """Explicit moves realizing one search edge s -> d (reduced, encoded):
         the split-0 insertion of the first edge out of s that ends at d, then
-        the free contractions."""
+        the free contractions.  Every edge comes from a search, so none
+        joining s to d is a defect in fillcalc."""
         for t, (_, _, full, rel, sign, rot), p in self.moves(s, len(d)):
             if t == d:
                 moves = [ApplyRelator(p, rel, sign, rot, 0)]
                 moves.extend(contraction_moves(self.decode(s[:p] + full + s[p:])))
                 return moves
-        raise ValueError("states are not adjacent")
+        raise InternalCheckError(
+            f"search states {self.decode(s)} and {self.decode(d)} are not adjacent"
+        )
 
 
 def _coder(pres: GroupPresentation) -> _Coder:
@@ -336,8 +372,9 @@ def area_exact(
     freely reduced intermediate words stay within the budget's length cap.
 
     Bidirectional breadth-first search between w and the empty word; the
-    underlying move relation is symmetric, so the meet point yields a witness
-    sequence, which is replay-validated before being returned.
+    path through the meet point yields a witness sequence, which is
+    replay-validated before being returned.  The search may return before
+    it has expanded the whole level of its first meet; see ``_area``.
     """
     return _area(pres, w, budget, {})
 
@@ -348,7 +385,13 @@ def _area(
     """area_exact, taking the side rooted at the empty word from ``balls``
     (one ball per length cap, added when missing).  A search sees only the
     levels it has reached itself, so its result does not depend on what
-    earlier searches grew."""
+    earlier searches grew.
+
+    After the first meet in a level the search finishes the expanded
+    state's successors and returns, unless a collapse out of a later state
+    of the level could still find a smaller meet; only then does it expand
+    the rest of the level.  The result is the one the whole level gives,
+    except for ``states``."""
     pres.check_word(w)
     coder = _coder(pres)
     clock = _Clock(budget)
@@ -406,6 +449,7 @@ def _area(
         d = depth[side]
         ends = mine.ends[d]
         lo = 0
+        checked = False
         for i in range(len(frontier[side])):
             if clock.expired():
                 return stop(states)
@@ -422,6 +466,25 @@ def _area(
                 if states > max_states:
                     return stop(states)
             lo = hi
+            if best is not None and not checked:
+                checked = True
+                # The completed levels hold no meet.  If t, reached from s
+                # by an edge with a reverse edge, were on the other side at
+                # depth e < reached, s would be there at depth e + 1, a
+                # meet in the completed levels.  So every later meet but a
+                # collapse totals d + 1 + reached >= best, and only a
+                # collapse out of a later state of this level that reaches
+                # the other side at depth <= bound can beat best.
+                bound = min(reached, best[0] - d - 2)
+                if coder.reversible and (
+                    bound < 0
+                    or not any(
+                        other.get(t, bound + 1) <= bound
+                        for later in frontier[side][i + 1:]
+                        for t in coder.collapses(later)
+                    )
+                ):
+                    return finish(best[1], states)
         depth[side] = d + 1
 
 

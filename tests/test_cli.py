@@ -74,6 +74,17 @@ def test_internal_check_exit_code(z2, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("internal error: witness for")
 
 
+def test_unjoined_search_path_exit_code(z2, monkeypatch, capsys):
+    # a search path that skips the states between its meet and either root
+    # joins states no edge joins: a defect in fillcalc, not a usage error
+    def chain(parent, s, root):
+        return [s] if s == root else [s, root]
+
+    monkeypatch.setattr(oracle, "_chain", chain)
+    assert main(["area", "--presentation", z2, "--word", "x x y y x' x' y' y'"]) == 4
+    assert "are not adjacent" in capsys.readouterr().err
+
+
 def test_dehn(z2, tmp_path):
     out = tmp_path / "r.json"
     assert main(
@@ -270,6 +281,48 @@ def test_construct_fiber(tmp_path, capsys):
     assert report["verdicts"]["generators"]
 
 
+FIBER = {"a1": ["a"], "x1": ["x"], "r1": ["x a x' a'"], "r2": [], "r3": [],
+         "a2": ["c"], "x2": ["z"], "r4": []}
+PNF = {"base": {"generators": ["a"]}, "stable": "t", "w_plus": {"a": "a"}}
+
+
+@pytest.mark.parametrize("command,data,field", [
+    pytest.param("fiber", dict(FIBER, r1=[5]), "'r1' must be a list of strings",
+                 id="fiber-relator-number"),
+    pytest.param("fiber", {k: v for k, v in FIBER.items() if k != "x1"},
+                 "fiber spec field 'x1' is missing", id="fiber-no-x1"),
+    pytest.param("fiber", dict(FIBER, a2="c"), "'a2' must be a list of strings",
+                 id="fiber-names-string"),
+    pytest.param("fiber", dict(FIBER, w_r4=["a!"]), "'w_r4': bad generator token",
+                 id="fiber-bad-choice-word"),
+    pytest.param("cyclic", dict(PNF, w_plus={"a": 7}),
+                 "'w_plus' must be an object mapping generators to word strings",
+                 id="cyclic-word-number"),
+    pytest.param("cyclic", dict(PNF, w_minus=["a"]),
+                 "'w_minus' must be an object", id="cyclic-minus-list"),
+    pytest.param("cyclic", {k: v for k, v in PNF.items() if k != "stable"},
+                 "'stable' is missing", id="cyclic-no-stable"),
+    pytest.param("cyclic", dict(PNF, base={"relators": []}),
+                 "base presentation field 'generators' is missing",
+                 id="cyclic-base-no-generators"),
+])
+def test_malformed_construct_input_is_a_usage_error(tmp_path, capsys, command, data,
+                                                    field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    flag = "--spec" if command == "fiber" else "--data"
+    assert main(["construct", command, flag, str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_well_formed_construct_input_still_passes(tmp_path):
+    fiber, pnf = tmp_path / "fiber.json", tmp_path / "pnf.json"
+    fiber.write_text(json.dumps(FIBER))
+    pnf.write_text(json.dumps(dict(PNF, w_minus={"a": "a"})))
+    assert main(["construct", "fiber", "--spec", str(fiber)]) == 0
+    assert main(["construct", "cyclic", "--data", str(pnf)]) == 0
+
+
 @pytest.mark.parametrize("data,field", [
     pytest.param({"relators": ["x y x' y'"]}, "'generators' is missing",
                  id="no-generators"),
@@ -281,6 +334,8 @@ def test_construct_fiber(tmp_path, capsys):
                  "'relators' must be a list of strings", id="relator-number"),
     pytest.param({"generators": ["x"], "relators": "x x"},
                  "'relators' must be a list of strings", id="relators-string"),
+    pytest.param({"generators": ["x"], "relators": ["x!"]},
+                 "'relators': bad generator token", id="relator-bad-token"),
     pytest.param(["x"], "must be a JSON object", id="not-an-object"),
 ])
 @pytest.mark.parametrize("command", [["dehn", "--length", "2"], ["area", "--word", "x"]],

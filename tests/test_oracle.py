@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fillcalc import bestvina_brady as bb, constructors, oracle
+from fillcalc import bestvina_brady as bb, constructors, intlinalg, oracle
 from fillcalc.oracle import (
     DirectProductSpec,
     MembershipUndecidableError,
@@ -127,11 +127,14 @@ def test_max_states_is_a_cap(search):
 def test_budget_cut_inside_a_level_keeps_a_true_bound():
     """A state budget either proves the area 4 of [x^2, y^2] or stops with at
     most one state too many and a lower bound no larger than 4; a meet in the
-    level the budget cuts is already minimal, so it is returned."""
+    level the budget cuts is already minimal, so it is returned.  The search
+    returns soon after its first meet, so the budgets that cut between the
+    meet and the return lie just below the full count: those are scanned one
+    by one."""
     w = commutator(wpow(word("x"), 2), wpow(word("y"), 2))
     full = area_exact(Z2, w).states
     cut_meets = 0
-    for max_states in range(1, full + 1, 23):
+    for max_states in [*range(1, full - 40, 23), *range(max(1, full - 40), full + 1)]:
         res = area_exact(Z2, w, SearchBudget(max_states=max_states))
         assert res.states <= max_states + 1
         if res.kind == "area":
@@ -335,6 +338,149 @@ def test_area_of_inverse_word(name, terms):
     a, b = area_exact(pres, w, budget), area_exact(pres, w.inverse(), budget)
     if "budget-exhausted" not in (a.kind, b.kind):
         assert (a.kind, a.area) == (b.kind, b.area)
+
+
+def reference_area(pres, w, budget):
+    """The full-level search that ``area_exact`` must agree with: every
+    level that holds a meet is expanded to its end, and the least meet
+    wins."""
+    pres.check_word(w)
+    coder = oracle._coder(pres)
+    clock = oracle._Clock(budget)
+    cap = budget.length_cap(w, pres)
+    start = coder.reduce(coder.encode(w))
+    if start == "":
+        return area_exact(pres, w, budget)
+    if len(start) > cap:
+        return oracle.AreaResult("budget-exhausted", lower_bound=1, states=0)
+    if not intlinalg.in_lattice(coder.basis, coder.abelian_vector(start)):
+        return oracle.AreaResult("not-null-homotopic", states=0)
+    sides = (oracle._Ball(coder, cap, start), oracle._Ball(coder, cap, ""))
+    depth = [0, 0]
+    best = None
+
+    def finish(states):
+        path = oracle._chain(sides[0].parent, best[1], start)[::-1]
+        path += oracle._chain(sides[1].parent, best[1], "")[1:]
+        return oracle._witnessed(pres, coder, w, path, states, best[0])
+
+    def stop(states):
+        lower = depth[0] + depth[1] + 1
+        if best is not None and best[0] <= lower:
+            return finish(states)
+        return oracle.AreaResult("budget-exhausted", lower_bound=lower, states=states)
+
+    states = 2
+    while True:
+        if best is not None and best[0] <= depth[0] + depth[1] + 1:
+            return finish(states)
+        frontier = (sides[0].levels[depth[0]], sides[1].levels[depth[1]])
+        if not frontier[0] or not frontier[1]:
+            if best is not None:
+                return finish(states)
+            return oracle.AreaResult(
+                "not-null-homotopic", lower_bound=depth[0] + depth[1] + 1, states=states
+            )
+        if states > budget.max_states or (
+            budget.max_area is not None and depth[0] + depth[1] + 1 > budget.max_area
+        ):
+            return stop(states)
+        side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
+        mine, other, reached = sides[side], sides[1 - side].dist, depth[1 - side]
+        d = depth[side]
+        lo = 0
+        for i in range(len(frontier[side])):
+            if clock.expired():
+                return stop(states)
+            mine.grow(d)
+            hi = mine.ends[d][i]
+            for t in mine.levels[d + 1][lo:hi]:
+                states += 1
+                e = other.get(t)
+                if e is not None and e <= reached:
+                    if best is None or d + 1 + e < best[0]:
+                        best = (d + 1 + e, t)
+                if states > budget.max_states:
+                    return stop(states)
+            lo = hi
+        depth[side] = d + 1
+
+
+def same_result(got, want):
+    """Equal in everything but ``states``, which may only fall."""
+    assert (got.kind, got.area, got.lower_bound, got.witness) == (
+        want.kind, want.area, want.lower_bound, want.witness
+    )
+    assert got.states <= want.states
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    terms=st.lists(
+        st.tuples(st.lists(st.integers(0, 11), max_size=2), st.integers(0, 2),
+                  st.booleans()),
+        min_size=1,
+        max_size=3,
+    ),
+    slack=st.sampled_from([0, 2, None]),
+    max_area=st.sampled_from([None, 1, 2, 3]),
+    max_states=st.sampled_from([20_000, 2_000, 300, 60]),
+)
+def test_early_return_matches_the_full_level_loop(
+    name, terms, slack, max_area, max_states
+):
+    """Returning after a level's first meet unless a collapse can still beat
+    it gives the full-level loop's kind, area, lower bound and witness, with
+    caps |w|, |w| + 2 and the default, area limits and state budgets; fresh
+    and through shared empty-word sides."""
+    pres = SWEPT[name]
+    w = null_word(pres, terms)
+    cap = None if slack is None else max(1, len(w) + slack)
+    budget = SearchBudget(cap, max_states, max_area)
+    want = reference_area(pres, w, budget)
+    same_result(area_exact(pres, w, budget), want)
+    balls = {}
+    oracle._area(pres, null_word(pres, terms[:1]), budget, balls)
+    same_result(oracle._area(pres, w, budget, balls), want)
+
+
+def test_a_collapse_can_beat_the_first_meet(monkeypatch):
+    """On Z^2 at cap 10 the first meet of x y' x y y x' y' x' has total 4,
+    and a later collapse in the same level meets at total 2: a search that
+    returned at its first meet without looking for collapses reports 4."""
+    w, budget = word("x y' x y y x' y' x'"), SearchBudget(max_word_length=10)
+    res = area_exact(Z2, w, budget)
+    assert (res.kind, res.area) == ("area", 2)
+    same_result(res, reference_area(Z2, w, budget))
+    monkeypatch.setattr(oracle._Coder, "collapses", lambda self, s: ())
+    assert area_exact(Z2, w, budget).area == 4
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHED))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(codes=st.lists(st.integers(0, 63), max_size=10), slack=st.integers(0, 4))
+def test_every_edge_but_a_collapse_has_a_reverse(name, codes, slack):
+    """The lemma behind the early return: for t in moves(s) that is not a
+    collapse target of s, s is in moves(t); and every collapse target is a
+    successor.  Presentations whose relators are not cyclically reduced are
+    not ``reversible``, and their searches never return early."""
+    coder = oracle._coder(SEARCHED[name])
+    assert coder.reversible == (name != "non-reduced")
+    s = coder.reduce("".join(chr(c % len(coder.letters)) for c in codes))
+    cap = len(s) + slack
+    successors = {t for t, _, _ in coder.moves(s, cap)}
+    collapses = set(coder.collapses(s))
+    assert collapses <= successors
+    if coder.reversible:
+        for t in successors - collapses:
+            assert s in {u for u, _, _ in coder.moves(t, cap)}
+
+
+def test_edge_moves_between_unjoined_states_is_internal():
+    coder = oracle._coder(Z2)
+    with pytest.raises(InternalCheckError, match="not adjacent"):
+        coder.edge_moves(coder.encode(word("x")), coder.encode(word("y")))
 
 
 def explore(coder, length, prefix=()):
