@@ -216,11 +216,10 @@ def dicks_leary_presentation(delta: FlagComplex) -> GroupPresentation:
         relators.append(
             Word((delta.edge_letter(e), delta.edge_letter((e[1], e[0]))))
         )
-    for trio in delta.triangles():
-        for cyc in _cycles_of_triangle(delta, trio):
-            letters = tuple(delta.edge_letter(e) for e in cyc)
-            relators.append(Word(letters))
-            relators.append(Word(tuple(l.inverse() for l in letters)))
+    for cyc in _triangle_cycles(delta):
+        letters = tuple(delta.edge_letter(e) for e in cyc)
+        relators.append(Word(letters))
+        relators.append(Word(tuple(l.inverse() for l in letters)))
     pres = GroupPresentation(gens, relators)
     euler = len(delta.vertices) - len(delta.edge_set) + len(delta.triangles())
     if euler < 1:
@@ -455,12 +454,11 @@ def find_null_homotopy(
         ("1-expand", 2, [(e,) for e in delta.directed_edges()]),
         ("2-expand", 3, _triangle_cycles(delta)),
     )
+    # max_states is a cap: cycles are counted as they are added
     seen = {start: None}
     queue = deque([start])
     while queue:
         cyc = queue.popleft()
-        if len(seen) > max_states:
-            raise NotNullError("null-homotopy search budget exhausted")
         moves: List[NullHomotopyMove] = []
         for k in range(len(cyc) - 1):
             if cyc[k + 1] == (cyc[k][1], cyc[k][0]):
@@ -492,6 +490,8 @@ def find_null_homotopy(
                     chain.append(mv)
                     cur = prev
                 return CombinatorialNullHomotopy(start, tuple(reversed(chain)))
+            if len(seen) > max_states:
+                raise NotNullError("null-homotopy search budget exhausted")
             queue.append(nxt)
     raise NotNullError("cycle admits no null-homotopy within the length cap")
 
@@ -819,14 +819,13 @@ def null_homotopy_to_sequence(
 
 
 def _convert_reverse_to_inverse(model: BBModel, editor: WordEditor, pos: int,
-                                count: int) -> int:
+                                count: int) -> None:
     """Rewrite reversed-edge letters at pos into inverse letters of the
     original edges, one reverse-pair relator each."""
     for i in range(count):
         let = editor.word[pos + i]
-        u, v = model.delta.letter_edge(let.gen)
-        editor.relator(pos + i, Word((let,)), Word((Letter(f"{v}_{u}", -let.sign),)))
-    return count
+        bar = model.delta.reverse_letter(let).inverse()
+        editor.relator(pos + i, Word((let,)), Word((bar,)))
 
 
 def _fill_inverse_core(model: BBModel, editor: WordEditor,

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every command assembles a machine-readable report (version 1); with a fixed
-seed the report is byte-identical across runs, so timing is only recorded on
-request.  Exit codes: 0 all verdicts pass, 1 a verification failed, 2 usage
-error, 3 a search budget was exhausted, 4 an internal check failed (a defect
-in fillcalc, not in the input).
+Every command but `reduce` prints one machine-readable JSON report (version
+2) on stdout, or writes it to the `--json` path; progress lines go to
+stderr.  The report is byte-identical across runs, so timing is only
+recorded on request.  Exit codes: 0 all verdicts pass, 1 a verification
+failed, 2 usage error, 3 a search budget was exhausted, 4 an internal check
+failed (a defect in fillcalc, not in the input).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _budget(args) -> SearchBudget:
 
 
 def _emit(args, report: dict, started: float) -> None:
-    report["version"] = 1
+    report["version"] = 2
     if args.timing:
         report["timing_ms"] = int((time.monotonic() - started) * 1000)
     text = json.dumps(report, sort_keys=True, indent=2)
@@ -145,7 +146,6 @@ def _cmd_pulldown(args, report, started) -> int:
     ctx = _context(args)
     out = phi(ctx, args.k, word(args.word), args.h)
     report["verdicts"] = {"word": str(out)}
-    print(str(out))
     _emit(args, report, started)
     return EXIT_PASS
 
@@ -154,7 +154,6 @@ def _cmd_flatten(args, report, started) -> int:
     ctx = _context(args)
     out = flatten_word(ctx, word(args.word))
     report["verdicts"] = {"word": str(out)}
-    print(str(out))
     _emit(args, report, started)
     return EXIT_PASS
 
@@ -248,7 +247,6 @@ def _cmd_depth(args, report, started) -> int:
     value = depth_coabelian(spec)
     report["inputs"] = _digest(args.theta)
     report["verdicts"] = {"depth": value}
-    print(value)
     _emit(args, report, started)
     return EXIT_PASS
 
@@ -265,7 +263,6 @@ def _cmd_bounds(args, report, started) -> int:
     else:
         out = compose_bounds(kind, *inputs)
     report["verdicts"] = {"canonical": out.canonical(), "expanded": repr(out)}
-    print(out.canonical())
     _emit(args, report, started)
     return EXIT_PASS
 
@@ -279,7 +276,7 @@ def _cmd_fixtures(args, report, started) -> int:
     for name in names:
         result = acceptance.run_criterion(name)
         mark = "pass" if result.passed else "FAIL"
-        print(f"[{mark}] {name}: {result.detail}")
+        print(f"[{mark}] {name}: {result.detail}", file=sys.stderr)
         verdicts.append(
             {"name": name, "passed": result.passed, "detail": result.detail}
         )
@@ -300,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget-states", type=int, default=2_000_000,
                         dest="budget_states")
     parser.add_argument("--budget-len", type=int, default=None, dest="budget_len")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", help="write the JSON report to this path")
     parser.add_argument("--timing", action="store_true",
                         help="include wall-clock timing in the report")
@@ -386,7 +382,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     started = time.monotonic()
-    report = {"command": args.command, "seed": args.seed}
+    report = {"command": args.command}
     handlers = {
         "reduce": lambda: _cmd_reduce(args),
         "area": lambda: _cmd_area(args, report, started),

@@ -29,6 +29,7 @@ from .words import (
     Letter,
     Word,
     charge,
+    commutator,
     concat,
     free_reduce,
 )
@@ -673,22 +674,14 @@ class DirectProductSpec:
         return tuple(g for f in self.factors for g in f)
 
     def commutator_relators(self) -> List[Word]:
-        rels = []
-        for i in range(len(self.factors)):
-            for j in range(i + 1, len(self.factors)):
-                for x in self.factors[i]:
-                    for y in self.factors[j]:
-                        rels.append(
-                            Word(
-                                (
-                                    Letter(x, 1),
-                                    Letter(y, 1),
-                                    Letter(x, -1),
-                                    Letter(y, -1),
-                                )
-                            )
-                        )
-        return rels
+        gens = [[Word((Letter(g, 1),)) for g in f] for f in self.factors]
+        return [
+            commutator(x, y)
+            for i, first in enumerate(gens)
+            for second in gens[i + 1 :]
+            for x in first
+            for y in second
+        ]
 
     def presentation(self) -> GroupPresentation:
         return GroupPresentation(self.all_generators(), self.commutator_relators())
@@ -709,14 +702,9 @@ class DirectProductSpec:
 
 
 def dp_equal(spec: DirectProductSpec, w1: Word, w2: Word) -> bool:
-    """Exact word problem for a direct product of free groups: every
-    per-factor projection of w1 w2^-1 must reduce to the empty word."""
-    spec.check_word(w1)
-    spec.check_word(w2)
-    test = concat(w1, w2.inverse())
-    return all(
-        len(free_reduce(spec.projection(test, i))) == 0 for i in range(spec.n_factors)
-    )
+    """Exact word problem for a direct product of free groups: w1 and w2
+    are equal exactly when their per-factor projections reduce alike."""
+    return spec.normal_form(w1) == spec.normal_form(w2)
 
 
 def _adjacency(delta) -> Mapping[str, frozenset]:
@@ -780,6 +768,43 @@ def free_normal_form(w: Word) -> str:
     return str(free_reduce(w))
 
 
+class _OverBudget(Exception):
+    """A breadth-first search passed a budget; its argument is the last level
+    it completed."""
+
+
+def _cayley_levels(generators, normal_form, budget, clock, max_radius=None):
+    """Breadth-first search over products of the generators and their
+    inverses, deduplicated by the normal form, out to `max_radius` levels
+    (None: until a level adds nothing).  Yields (radius, key, word) as each
+    element is first reached, the identity first at radius 0.  Budgets are
+    caps: the clock is read once per expanded element and elements are
+    counted as they are added; the element that passes `max_states` is
+    yielded, then `_OverBudget` is raised."""
+    steps = [s for g in generators for s in (g, g.inverse())]
+    key = normal_form(EMPTY)
+    seen = {key}
+    yield 0, key, EMPTY
+    frontier = [EMPTY]
+    radius = 0
+    while frontier and radius != max_radius:
+        radius += 1
+        level = []
+        for wrep in frontier:
+            if clock.expired():
+                raise _OverBudget(radius - 1)
+            for g in steps:
+                nxt = free_reduce(concat(wrep, g))
+                key = normal_form(nxt)
+                if key not in seen:
+                    seen.add(key)
+                    yield radius, key, nxt
+                    if len(seen) > budget.max_states:
+                        raise _OverBudget(radius - 1)
+                    level.append(nxt)
+        frontier = level
+
+
 def cayley_distance(
     generators: Sequence[Word],
     target: Word,
@@ -788,42 +813,20 @@ def cayley_distance(
 ) -> DistanceResult:
     """Word-metric distance from the identity to the target, by breadth-first
     search over products of the given generators, deduplicated through the
-    supplied normal-form procedure."""
-    clock = _Clock(budget)
+    supplied normal-form procedure, out to `budget.max_area` levels."""
     target_key = normal_form(target)
-    id_key = normal_form(EMPTY)
-    if target_key == id_key:
-        return DistanceResult("distance", 0, EMPTY, 0)
-    steps = []
-    for g in generators:
-        steps.append(g)
-        steps.append(g.inverse())
-    seen = {id_key}
-    frontier: List[Tuple[object, Word]] = [(id_key, EMPTY)]
-    radius = 0
-    while frontier:
-        radius += 1
-        if budget.max_area is not None and radius > budget.max_area:
-            return DistanceResult("not-reached", radius_explored=radius - 1)
-        level: List[Tuple[object, Word]] = []
-        for _, wrep in frontier:
-            # budgets are caps: the clock is read per expanded state and the
-            # states are counted as they are added
-            if clock.expired():
-                return DistanceResult("not-reached", radius_explored=radius - 1)
-            for g in steps:
-                nxt = free_reduce(concat(wrep, g))
-                key = normal_form(nxt)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if key == target_key:
-                    return DistanceResult("distance", radius, nxt, radius)
-                if len(seen) > budget.max_states:
-                    return DistanceResult("not-reached", radius_explored=radius - 1)
-                level.append((key, nxt))
-        frontier = level
-    return DistanceResult("not-reached", radius_explored=radius)
+    levels = _cayley_levels(
+        generators, normal_form, budget, _Clock(budget), budget.max_area
+    )
+    try:
+        for radius, key, w in levels:
+            if key == target_key:
+                return DistanceResult("distance", radius, w, radius)
+    except _OverBudget as cut:
+        return DistanceResult("not-reached", radius_explored=cut.args[0])
+    # the radius limit stopped the search, or an empty level, counted as explored
+    explored = radius if radius == budget.max_area else radius + 1
+    return DistanceResult("not-reached", radius_explored=explored)
 
 
 @dataclass(frozen=True)
@@ -846,63 +849,30 @@ def distortion_sample(
     subgroup members of the ambient ball.  Membership is decided by zero
     charge when a charge map defines the subgroup, else by the supplied
     procedure."""
-    if theta is not None:
-        zero = (0,) * theta.rank
+    if theta is None and membership is None:
+        raise MembershipUndecidableError("supply a ChargeMap or a membership procedure")
+    if length < 0:
+        raise ValueError("length must be non-negative")
 
-        def member(w: Word) -> bool:
-            return charge(theta, w) == zero
+    def member(w: Word) -> bool:
+        return membership(w) if theta is None else not any(charge(theta, w))
 
-    elif membership is not None:
-        member = membership
-    else:
-        raise MembershipUndecidableError(
-            "supply a ChargeMap or a membership procedure"
-        )
     clock = _Clock(budget)
-    steps: List[Word] = []
-    for g in ambient_generators:
-        steps.append(g)
-        steps.append(g.inverse())
-    ball: Dict[object, Word] = {normal_form(EMPTY): EMPTY}
-    frontier = [EMPTY]
-    for _ in range(length):
-        level = []
-        for wrep in frontier:
-            if len(ball) > budget.max_states or clock.expired():
-                return DistortionSample("budget-exhausted")
-            for g in steps:
-                nxt = free_reduce(concat(wrep, g))
-                key = normal_form(nxt)
-                if key not in ball:
-                    ball[key] = nxt
-                    level.append(nxt)
-        frontier = level
-    members = {key: w for key, w in ball.items() if member(w)}
-
-    sub_steps: List[Word] = []
-    for g in sub_generators:
-        sub_steps.append(g)
-        sub_steps.append(g.inverse())
-    dist: Dict[object, int] = {normal_form(EMPTY): 0}
-    sub_frontier = [EMPTY]
-    remaining = set(members) - set(dist)
-    radius = 0
-    while remaining and sub_frontier:
-        radius += 1
-        level = []
-        for wrep in sub_frontier:
-            if clock.expired():
-                return DistortionSample("budget-exhausted")
-            for g in sub_steps:
-                nxt = free_reduce(concat(wrep, g))
-                key = normal_form(nxt)
-                if key not in dist:
-                    dist[key] = radius
-                    if len(dist) > budget.max_states:
-                        return DistortionSample("budget-exhausted")
-                    level.append(nxt)
-                    remaining.discard(key)
-        sub_frontier = level
+    dist: Dict[object, int] = {}
+    try:
+        ball = _cayley_levels(ambient_generators, normal_form, budget, clock, length)
+        members = {key: w for _, key, w in ball if member(w)}
+        remaining = set(members)
+        level = 0
+        sub = _cayley_levels(sub_generators, normal_form, budget, clock)
+        for radius, key, _ in sub:
+            # stop at the end of the level that reaches the last member
+            if radius > level and not remaining:
+                break
+            level = dist[key] = radius
+            remaining.discard(key)
+    except _OverBudget:
+        return DistortionSample("budget-exhausted")
     if remaining:
         return DistortionSample("budget-exhausted")
     table = tuple(sorted((str(w), dist[key]) for key, w in members.items()))

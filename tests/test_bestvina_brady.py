@@ -173,6 +173,26 @@ def test_find_null_homotopy_examples():
     assert BBModel(K3, K3_TREE).K == 3
 
 
+@pytest.mark.parametrize("max_states", [1, 2, 5])
+def test_find_null_homotopy_max_states_is_a_cap(max_states, monkeypatch):
+    """The doubled triangle needs two collapses; a budget checked only when
+    a cycle is dequeued let the search build dozens of cycles past it."""
+    built = set()
+    apply = bestvina_brady.apply_null_homotopy_move
+
+    def counting_apply(delta, cyc, move):
+        out = apply(delta, cyc, move)
+        built.add(out)
+        return out
+
+    monkeypatch.setattr(bestvina_brady, "apply_null_homotopy_move", counting_apply)
+    triangle = (("a", "b"), ("b", "c"), ("c", "a"))
+    with pytest.raises(bestvina_brady.NotNullError, match="budget"):
+        find_null_homotopy(K3, triangle * 2, max_states=max_states)
+    # the start cycle and the cycles added, one past the budget at most
+    assert len(built - {triangle * 2}) <= max_states
+
+
 def test_null_homotopy_to_power_sequence():
     model = BBModel(K3, K3_TREE)
     cycle = (("a", "b"), ("b", "c"), ("c", "a"))

@@ -46,7 +46,8 @@ def test_area_scheme_word(z2, tmp_path, capsys):
     )
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["version"] == 1
+    assert report["version"] == 2
+    assert "seed" not in report
     assert report["verdicts"]["kind"] == "area"
     assert report["verdicts"]["area"] <= 5
     assert "sequence" in report["witnesses"]
@@ -131,8 +132,9 @@ def test_verify_scheme_rejects_negative_relator_index(z2, tmp_path):
 
 def test_pulldown_and_flatten(capsys):
     assert main(["pulldown", "--k", "1", "--h", "0", "--word", "e1_2"]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "e1_2 e1_1'"
+    assert json.loads(capsys.readouterr().out)["verdicts"]["word"] == "e1_2 e1_1'"
     assert main(["flatten", "--word", "e1_2 e1_2'"]) == 0
+    assert "word" in json.loads(capsys.readouterr().out)["verdicts"]
 
 
 def test_construct_knmr(capsys):
@@ -204,7 +206,7 @@ def test_depth(tmp_path, capsys):
         ["depth", "--theta", str(theta), "--factors", "x1 y1,x2 y2,x3 y3"]
     )
     assert code == 0
-    assert capsys.readouterr().out.splitlines()[0] == "1"
+    assert json.loads(capsys.readouterr().out)["verdicts"]["depth"] == 1
 
 
 def test_distort(tmp_path):
@@ -231,9 +233,9 @@ def test_bounds(capsys):
         ["bounds", "--kind", "area-radius", "--alpha", "l^2", "--rho", "l",
          "--r", "1"]
     ) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "l^4"
+    assert json.loads(capsys.readouterr().out)["verdicts"]["canonical"] == "l^4"
     assert main(["bounds", "--kind", "split", "--beta1", "l^2", "--beta2", "l^2"]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "l^5"
+    assert json.loads(capsys.readouterr().out)["verdicts"]["canonical"] == "l^5"
 
 
 def test_bounds_usage_error(capsys):
@@ -242,8 +244,32 @@ def test_bounds_usage_error(capsys):
 
 def test_fixtures_single(capsys):
     assert main(["fixtures", "run", "--only", "bound-calculators"]) == 0
-    out = capsys.readouterr().out
-    assert "[pass] bound-calculators" in out
+    captured = capsys.readouterr()
+    (verdict,) = json.loads(captured.out)["verdicts"]
+    assert verdict["name"] == "bound-calculators" and verdict["passed"]
+    # progress lines go to stderr, so stdout holds the report alone
+    assert "[pass] bound-calculators" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pulldown", "--k", "1", "--h", "0", "--word", "e1_2"],
+    ["flatten", "--word", "e1_2 e1_2'"],
+    ["bounds", "--kind", "split", "--beta1", "l^2", "--beta2", "l^2"],
+    ["construct", "knmr", "--present", "q1"],
+    ["fixtures", "run", "--only", "bound-calculators"],
+], ids=lambda argv: argv[0])
+def test_stdout_is_one_json_report(argv, capsys):
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == argv[0]
+    assert report["version"] == 2
+    assert "seed" not in report
+
+
+def test_seed_flag_is_gone(capsys):
+    assert main(["--seed", "3", "bounds", "--kind", "split", "--beta1", "l^2",
+                 "--beta2", "l^2"]) == 2
+    assert capsys.readouterr().err.startswith("usage: fillcalc")
 
 
 def test_report_determinism(z2, tmp_path):

@@ -27,6 +27,7 @@ from fillcalc.words import (
     ChargeMap,
     Letter,
     Word,
+    charge,
     commutator,
     concat,
     cyclic_conjugate,
@@ -609,6 +610,9 @@ def test_cayley_distance_not_reached():
         gens, word("x"), free_normal_form, SearchBudget(max_area=4)
     )
     assert res.kind == "not-reached"
+    # a trivial generator: the search explores level 1 and finds it empty
+    res = cayley_distance([word("x x'")], word("x"), free_normal_form)
+    assert res == oracle.DistanceResult("not-reached", radius_explored=1)
 
 
 def test_cayley_distance_kernel_generators():
@@ -634,6 +638,12 @@ def test_distortion_same_group():
 def test_distortion_requires_membership():
     with pytest.raises(MembershipUndecidableError):
         distortion_sample([word("x")], [word("x")], 2, free_normal_form)
+
+
+def test_distortion_rejects_negative_length():
+    with pytest.raises(ValueError, match="non-negative"):
+        distortion_sample([word("x")], [word("x")], -1, free_normal_form,
+                          membership=lambda w: True)
 
 
 def test_distortion_toy_subgroup():
@@ -708,17 +718,31 @@ def endless_distortion(normal_form, budget):
     )
 
 
+def wide_ambient_ball(normal_form, budget):
+    # the radius-3 ball of the free group on four letters has 457 elements;
+    # the ambient search must stop near the state budget, not at the level end
+    return distortion_sample(
+        [word("a")], [word(g) for g in "abcd"], 3, normal_form, budget,
+        membership=lambda w: all(let.gen == "a" for let in w),
+    )
+
+
 BUDGETED_SEARCHES = pytest.mark.parametrize(
-    "search, cut",
-    [(far_distance, "not-reached"), (endless_distortion, "budget-exhausted")],
-    ids=["cayley_distance", "distortion_sample"],
+    "search, cut, steps",
+    [
+        (far_distance, "not-reached", 4),
+        (endless_distortion, "budget-exhausted", 4),
+        (wide_ambient_ball, "budget-exhausted", 8),
+    ],
+    ids=["cayley_distance", "distortion_sample", "distortion_ambient_ball"],
 )
 
 
 @BUDGETED_SEARCHES
-def test_search_max_states_is_a_cap(search, cut):
+def test_search_max_states_is_a_cap(search, cut, steps):
     """Four steps per state make breadth-first levels of 4, 12, 36, 108
-    states: a check between levels would stop at 161."""
+    states, and eight make 8, 56, 392: a check between levels would stop at
+    161 or 457, and a check before each expansion at up to 100 + steps."""
     normal_form = CountingNormalForm()
     res = search(normal_form, SearchBudget(max_states=100))
     assert res.kind == cut
@@ -727,9 +751,9 @@ def test_search_max_states_is_a_cap(search, cut):
 
 
 @BUDGETED_SEARCHES
-def test_search_wall_clock_is_a_cap(search, cut, monkeypatch):
+def test_search_wall_clock_is_a_cap(search, cut, steps, monkeypatch):
     """With every clock read a millisecond, a 50 ms clock allows about 50
-    expanded states, each adding at most four; a clock read once per level
+    expanded states, each adding at most `steps`; a clock read once per level
     would let the state budget stop the search far later."""
     clock = SlowClock()
     monkeypatch.setattr(oracle, "time", clock)
@@ -737,7 +761,205 @@ def test_search_wall_clock_is_a_cap(search, cut, monkeypatch):
     res = search(normal_form, SearchBudget(wall_clock_ms=50, max_states=20_000))
     assert res.kind == cut
     assert clock.reads <= 60
-    assert len(normal_form.keys) <= 4 * clock.reads + 5
+    assert len(normal_form.keys) <= steps * clock.reads + 5
+
+
+def test_distortion_ambient_ball_over_the_cap():
+    # the radius-1 ball of the free group on four letters has 9 elements
+    res = distortion_sample(
+        [word("a")], [word(g) for g in "abcd"], 1, free_normal_form,
+        SearchBudget(max_states=3),
+        membership=lambda w: len(w) != 1 or w[0].gen == "a",
+    )
+    assert res.kind == "budget-exhausted"
+
+
+def reference_cayley_distance(generators, target, normal_form, budget):
+    """cayley_distance as three loops did it before they shared one: the
+    reference for the differential tests below."""
+    clock = oracle._Clock(budget)
+    target_key = normal_form(target)
+    id_key = normal_form(Word())
+    if target_key == id_key:
+        return oracle.DistanceResult("distance", 0, Word(), 0)
+    steps = []
+    for g in generators:
+        steps.append(g)
+        steps.append(g.inverse())
+    seen = {id_key}
+    frontier = [(id_key, Word())]
+    radius = 0
+    while frontier:
+        radius += 1
+        if budget.max_area is not None and radius > budget.max_area:
+            return oracle.DistanceResult("not-reached", radius_explored=radius - 1)
+        level = []
+        for _, wrep in frontier:
+            if clock.expired():
+                return oracle.DistanceResult("not-reached", radius_explored=radius - 1)
+            for g in steps:
+                nxt = free_reduce(concat(wrep, g))
+                key = normal_form(nxt)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if key == target_key:
+                    return oracle.DistanceResult("distance", radius, nxt, radius)
+                if len(seen) > budget.max_states:
+                    return oracle.DistanceResult("not-reached",
+                                                 radius_explored=radius - 1)
+                level.append((key, nxt))
+        frontier = level
+    return oracle.DistanceResult("not-reached", radius_explored=radius)
+
+
+def reference_distortion_sample(sub_generators, ambient_generators, length,
+                                normal_form, budget, member):
+    """distortion_sample before its two searches shared one loop; its ambient
+    phase checked the state budget only before each expansion."""
+    clock = oracle._Clock(budget)
+    steps = []
+    for g in ambient_generators:
+        steps.append(g)
+        steps.append(g.inverse())
+    ball = {normal_form(Word()): Word()}
+    frontier = [Word()]
+    for _ in range(length):
+        level = []
+        for wrep in frontier:
+            if len(ball) > budget.max_states or clock.expired():
+                return oracle.DistortionSample("budget-exhausted")
+            for g in steps:
+                nxt = free_reduce(concat(wrep, g))
+                key = normal_form(nxt)
+                if key not in ball:
+                    ball[key] = nxt
+                    level.append(nxt)
+        frontier = level
+    members = {key: w for key, w in ball.items() if member(w)}
+
+    sub_steps = []
+    for g in sub_generators:
+        sub_steps.append(g)
+        sub_steps.append(g.inverse())
+    dist = {normal_form(Word()): 0}
+    sub_frontier = [Word()]
+    remaining = set(members) - set(dist)
+    radius = 0
+    while remaining and sub_frontier:
+        radius += 1
+        level = []
+        for wrep in sub_frontier:
+            if clock.expired():
+                return oracle.DistortionSample("budget-exhausted")
+            for g in sub_steps:
+                nxt = free_reduce(concat(wrep, g))
+                key = normal_form(nxt)
+                if key not in dist:
+                    dist[key] = radius
+                    if len(dist) > budget.max_states:
+                        return oracle.DistortionSample("budget-exhausted")
+                    level.append(nxt)
+                    remaining.discard(key)
+        sub_frontier = level
+    if remaining:
+        return oracle.DistortionSample("budget-exhausted")
+    table = tuple(sorted((str(w), dist[key]) for key, w in members.items()))
+    value = max((d for _, d in table), default=0)
+    return oracle.DistortionSample("value", value, table)
+
+
+def ball_size(generators, normal_form, length):
+    ball = {normal_form(Word()): Word()}
+    for _ in range(length):
+        for w in list(ball.values()):
+            for g in generators:
+                for step in (g, g.inverse()):
+                    nxt = free_reduce(concat(w, step))
+                    ball.setdefault(normal_form(nxt), nxt)
+    return len(ball)
+
+
+def exponent_sums(w):
+    return tuple(sum(let.sign for let in w if let.gen == g) for g in "xy")
+
+
+# the free group, Z^2, the finite group (Z/3)^2 (whose searches end on a
+# level that adds nothing) and the trivial group, all on x and y
+NORMAL_FORMS = {
+    "free": free_normal_form,
+    "Z2": exponent_sums,
+    "Z3xZ3": lambda w: tuple(e % 3 for e in exponent_sums(w)),
+    "trivial": lambda w: (),
+}
+SHORT_WORDS = st.lists(st.sampled_from(["x", "x'", "y", "y'"]), max_size=3).map(
+    lambda letters: word(" ".join(letters))
+)
+GENERATOR_LISTS = st.lists(SHORT_WORDS, min_size=1, max_size=3)
+SMALL_BUDGETS = st.builds(
+    SearchBudget,
+    max_states=st.integers(1, 80),
+    max_area=st.sampled_from([None, 1, 2, 3, 5]),
+)
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_FORMS))
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(generators=GENERATOR_LISTS, target=SHORT_WORDS, budget=SMALL_BUDGETS)
+def test_cayley_distance_matches_the_reference(name, generators, target, budget):
+    normal_form = NORMAL_FORMS[name]
+    want = reference_cayley_distance(generators, target, normal_form, budget)
+    assert cayley_distance(generators, target, normal_form, budget) == want
+
+
+CHARGE_X = ChargeMap(1, {"x": (1,), "y": (0,)})
+MEMBERSHIPS = {
+    "all": lambda w: True,
+    "even": lambda w: len(w) % 2 == 0,
+    "charge": lambda w: charge(CHARGE_X, w) == (0,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_FORMS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    sub=GENERATOR_LISTS,
+    ambient=GENERATOR_LISTS,
+    length=st.integers(0, 3),
+    max_states=st.integers(1, 120),
+    membership=st.sampled_from(sorted(MEMBERSHIPS)),
+)
+def test_distortion_sample_matches_the_reference(
+    name, sub, ambient, length, max_states, membership
+):
+    normal_form = NORMAL_FORMS[name]
+    budget = SearchBudget(max_states=max_states)
+    member = MEMBERSHIPS[membership]
+    # a charge map and a membership procedure decide membership alike
+    if membership == "charge":
+        decide = {"theta": CHARGE_X}
+    else:
+        decide = {"membership": member}
+    got = distortion_sample(sub, ambient, length, normal_form, budget, **decide)
+    if ball_size(ambient, normal_form, length) > max_states:
+        assert got.kind == "budget-exhausted"
+    else:
+        want = reference_distortion_sample(sub, ambient, length, normal_form,
+                                           budget, member)
+        assert got == want
+
+
+@pytest.mark.parametrize("max_states, kind", [(3, "budget-exhausted"),
+                                              (4, "budget-exhausted"),
+                                              (5, "value")])
+def test_distortion_subgroup_search_completes_its_last_level(max_states, kind):
+    # x' is the last member reached, third of the five elements the first
+    # subgroup level holds with the identity; y and y' complete that level
+    res = distortion_sample(
+        [word("x"), word("y")], [word("x")], 1, free_normal_form,
+        SearchBudget(max_states=max_states), membership=lambda w: True,
+    )
+    assert res.kind == kind
 
 
 def test_distortion_kernel_quadratic_consistency():
