@@ -438,17 +438,17 @@ def replay_null_homotopy(
 
 
 def find_null_homotopy(
-    delta: FlagComplex,
-    cycle: Sequence[Edge],
-    max_length: Optional[int] = None,
-    max_states: int = 200_000,
+    delta: FlagComplex, cycle: Sequence[Edge], max_states: int = 200_000
 ) -> CombinatorialNullHomotopy:
-    """Breadth-first search over cycles for a shortest combinatorial
-    null-homotopy; collapse-only moves are tried before expansions."""
+    """Breadth-first search over cycles of length at most |cycle| + 4 for a
+    shortest combinatorial null-homotopy; collapse-only moves are tried
+    before expansions.  The empty cycle gets the empty homotopy."""
     start = tuple(cycle)
     if not _is_cycle(delta, start):
         raise ValueError("not a combinatorial cycle")
-    cap = max_length if max_length is not None else len(start) + 4
+    if not start:
+        return CombinatorialNullHomotopy(start, ())
+    cap = len(start) + 4
     # expansion cells: an edge with its reverse, or a triangle cycle
     expansions = (
         ("1-expand", 2, [(e,) for e in delta.directed_edges()]),
@@ -494,8 +494,6 @@ def find_null_homotopy(
                 raise NotNullError("null-homotopy search budget exhausted")
             queue.append(nxt)
     raise NotNullError("cycle admits no null-homotopy within the length cap")
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -556,115 +554,103 @@ class BBModel:
             self._swap_fills[key] = res.witness
         return self._swap_fills[key]
 
-    def swap(self, editor: WordEditor, pos: int) -> int:
+    def swap(self, editor: WordEditor, pos: int) -> None:
         """Transpose editor letters at pos, pos+1 by splicing a minimal
         commutator filling (two relator moves for triangle letters)."""
         a, b = editor.word[pos], editor.word[pos + 1]
         if a.gen == b.gen:
-            return editor.swap(pos)
+            editor.swap(pos)
+            return
         fill = self._commutator_fill(a, b)
         editor.insert_cancelling(pos + 2, Word((b, a)).inverse())
         editor.apply_subsequence(pos, fill)
-        return fill.area
 
     def sort_block_pairs(self, editor: WordEditor, pos: int, count: int,
-                         first: Letter) -> int:
+                         first: Letter) -> None:
         """Stable-sort a 2-count block of two letter kinds so `first` letters
         come leftmost."""
-        return editor.sort(pos, pos + 2 * count, lambda x: x != first, self.swap)
+        editor.sort(pos, pos + 2 * count, lambda x: x != first, self.swap)
 
     # -- power-block primitives -------------------------------------------
 
-    def collapse_pair_power(self, editor: WordEditor, pos: int, k: int) -> int:
+    def collapse_pair_power(self, editor: WordEditor, pos: int, k: int) -> None:
         """Remove a^k abar^k at pos (2|k| letters), one relator per layer."""
         m = abs(k)
         for i in range(m):
             a = editor.word[pos + m - 1 - i]
             b = editor.word[pos + m - i]
             editor.relator(pos + m - 1 - i, Word((a, b)), EMPTY)
-        return m
 
     def collapse_mutual_paths(self, editor: WordEditor, pos: int, depth: int,
-                              k: int) -> int:
+                              k: int) -> None:
         """Cancel two mutually reverse tree-path power words (2*depth*|k|
         letters at pos), nested centre-out."""
-        m = abs(k)
-        cost = 0
         for d in range(depth):
-            cost += self.collapse_pair_power(editor, pos + (depth - 1 - d) * m, k)
-        return cost
+            self.collapse_pair_power(editor, pos + (depth - 1 - d) * abs(k), k)
 
     def collapse_triangle_power(self, editor: WordEditor, pos: int,
-                                cyc: Tuple[Edge, Edge, Edge], k: int) -> int:
+                                cyc: Tuple[Edge, Edge, Edge], k: int) -> None:
         """Remove x^k y^k z^k at pos for a triangle cycle: convert the last
         block into pairs of the first two, sort, cancel freely."""
         m = abs(k)
         if m == 0:
-            return 0
+            return
         sgn = 1 if k > 0 else -1
         x = self.delta.edge_letter(cyc[0], sgn)
         y = self.delta.edge_letter(cyc[1], sgn)
         z = self.delta.edge_letter(cyc[2], sgn)
         replacement = Word((y.inverse(), x.inverse()))
-        cost = 0
         for i in range(m):
             editor.relator(pos + 2 * m + 2 * i, Word((z,)), replacement)
-            cost += 1
-        cost += self.sort_block_pairs(editor, pos + 2 * m, m, y.inverse())
+        self.sort_block_pairs(editor, pos + 2 * m, m, y.inverse())
         keep = editor.word.letters[:pos] + editor.word.letters[pos + 4 * m :]
         editor.free_to(Word(keep))
-        return cost
 
     def insert_triangle_power(self, editor: WordEditor, pos: int,
-                              cyc: Tuple[Edge, Edge, Edge], k: int) -> int:
+                              cyc: Tuple[Edge, Edge, Edge], k: int) -> None:
         """Insert x^k y^k z^k at pos (reverse of the collapse)."""
         if k == 0:
-            return 0
-        target = self.power_word(cyc, k)
-        sub = WordEditor(self.pres, target)
-        cost = self.collapse_triangle_power(sub, 0, cyc, k)
+            return
+        sub = WordEditor(self.pres, self.power_word(cyc, k))
+        self.collapse_triangle_power(sub, 0, cyc, k)
         editor.apply_subsequence(pos, reverse_sequence(self.pres, sub.sequence()))
-        return cost
 
     def power_word(self, cycle: Sequence[Edge], k: int) -> Word:
         return concat(*(wpow(Word((self.delta.edge_letter(e),)), k) for e in cycle))
 
-    def insert_pair_power(self, editor: WordEditor, pos: int, e: Edge, k: int) -> int:
+    def insert_pair_power(self, editor: WordEditor, pos: int, e: Edge, k: int) -> None:
         let = self.delta.edge_letter(e, 1 if k >= 0 else -1)
         bar = self.delta.reverse_letter(let)
         for i in range(abs(k)):
             editor.relator(pos + i, EMPTY, Word((let, bar)))
-        return abs(k)
 
     def fill_cycle_power(self, editor: WordEditor, pos: int,
-                         nh: CombinatorialNullHomotopy, k: int) -> int:
+                         nh: CombinatorialNullHomotopy, k: int) -> None:
         """Remove the k-th power word of the homotopy's start cycle at pos by
         translating the combinatorial null-homotopy move by move."""
         cyc = nh.start
         m = abs(k)
-        cost = 0
         for move in nh.moves:
             offset = pos + m * move.pos
             if move.kind == "1-collapse":
-                cost += self.collapse_pair_power(editor, offset, k)
+                self.collapse_pair_power(editor, offset, k)
             elif move.kind == "1-expand":
-                cost += self.insert_pair_power(editor, offset, move.edges[0], k)
+                self.insert_pair_power(editor, offset, move.edges[0], k)
             elif move.kind == "2-collapse":
                 tri = (cyc[move.pos], cyc[move.pos + 1], cyc[move.pos + 2])
-                cost += self.collapse_triangle_power(editor, offset, tri, k)
+                self.collapse_triangle_power(editor, offset, tri, k)
             else:
-                cost += self.insert_triangle_power(editor, offset, move.edges, k)
+                self.insert_triangle_power(editor, offset, move.edges, k)
             cyc = apply_null_homotopy_move(self.delta, cyc, move)
-        return cost
 
     def rewrite_pair_to_edge_power(self, editor: WordEditor, pos: int, e: Edge,
-                                   k: int, inverted: bool) -> int:
+                                   k: int, inverted: bool) -> None:
         """Replace the mutual tree-path pair of the edge's endpoints at pos:
         [Q(tau e, k) P(iota e, k)] becomes e^-k, or, with inverted set,
-        [P(iota e, k)^-1 Q(tau e, k)^-1] becomes e^k; costs one filling of
-        the edge's tree cycle at power k."""
+        [P(iota e, k)^-1 Q(tau e, k)^-1] becomes e^k, by one filling of the
+        edge's tree cycle at power k."""
         if k == 0:
-            return 0
+            return
         cycle = self.edge_cycle(e)  # path(iota) . e . path(tau)
         shift = abs(k) * self.depth(e[0])
         cycle_word = self.power_word(cycle, k)
@@ -672,7 +658,7 @@ class BBModel:
         tail = cycle_word[shift:]  # e^k Q(tau, k)
         sub = WordEditor(self.pres, rot_word)
         sub.insert_cancelling(len(rot_word), tail)
-        cost = self.fill_cycle_power(sub, len(tail), self.null_homotopy(cycle), k)
+        self.fill_cycle_power(sub, len(tail), self.null_homotopy(cycle), k)
         sub.free_to(EMPTY)
         null_rot = sub.sequence()  # fills e^k Q(tau,k) P(iota,k)
         edge_word = Word((self.delta.edge_letter(e),))
@@ -685,7 +671,6 @@ class BBModel:
         else:
             editor.insert_cancelling(pos, wpow(edge_word, -k))
             editor.apply_subsequence(pos + abs(k), null_rot)
-        return cost
 
 
 def scheme_bound(model: BBModel, kind: str, n: int) -> int:
@@ -754,7 +739,6 @@ def _scheme_cycle(model: BBModel, cyc: Tuple[Edge, Edge, Edge], n: int
     model.collapse_mutual_paths(editor, 0, depths[0], n)
     editor.free_to(EMPTY)
     return editor.sequence()
-
 
 
 def _scheme_inverse_cycle(model: BBModel, cyc: Tuple[Edge, Edge, Edge], n: int

@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Every command but `reduce` prints one machine-readable JSON report (version
-2) on stdout, or writes it to the `--json` path; progress lines go to
-stderr.  The report is byte-identical across runs, so timing is only
-recorded on request.  Exit codes: 0 all verdicts pass, 1 a verification
-failed, 2 usage error, 3 a search budget was exhausted, 4 an internal check
-failed (a defect in fillcalc, not in the input).
+Every command fills one machine-readable JSON report (version 2), which
+`main` prints on stdout, or writes to the `--json` path, once the command
+returns; progress lines go to stderr.  The report is byte-identical across
+runs, so timing is only recorded on request.  Exit codes: 0 all verdicts
+pass, 1 a verification failed, 2 usage error, 3 a search budget was
+exhausted, 4 an internal check failed (a defect in fillcalc, not in the
+input).
 """
 
 from __future__ import annotations
@@ -81,13 +82,12 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _cmd_reduce(args) -> int:
-    w = free_reduce(word(args.word))
-    print(str(w))
+def _cmd_reduce(args, report) -> int:
+    report["verdicts"] = {"word": str(free_reduce(word(args.word)))}
     return EXIT_PASS
 
 
-def _cmd_area(args, report, started) -> int:
+def _cmd_area(args, report) -> int:
     pres = fileio.load_presentation(_load_json(args.presentation))
     w = word(args.word)
     result = area_exact(pres, w, _budget(args))
@@ -96,13 +96,12 @@ def _cmd_area(args, report, started) -> int:
                           "lower_bound": result.lower_bound}
     if result.witness is not None:
         report["witnesses"] = {"sequence": fileio.dump_sequence(result.witness)}
-    _emit(args, report, started)
     if result.kind == "budget-exhausted":
         return EXIT_BUDGET
     return EXIT_PASS if result.kind == "area" else EXIT_FAIL
 
 
-def _cmd_dehn(args, report, started) -> int:
+def _cmd_dehn(args, report) -> int:
     pres = fileio.load_presentation(_load_json(args.presentation))
     result = dehn_sample(pres, args.length, _budget(args))
     report["inputs"] = _digest(args.presentation)
@@ -112,11 +111,10 @@ def _cmd_dehn(args, report, started) -> int:
         "witness": str(result.witness) if result.witness is not None else None,
         "words_checked": result.words_checked,
     }
-    _emit(args, report, started)
     return EXIT_PASS if result.kind == "value" else EXIT_BUDGET
 
 
-def _cmd_verify_scheme(args, report, started) -> int:
+def _cmd_verify_scheme(args, report) -> int:
     pres = fileio.load_presentation(_load_json(args.presentation))
     scheme = fileio.load_scheme(_load_json(args.scheme))
     if args.sequences:
@@ -132,7 +130,6 @@ def _cmd_verify_scheme(args, report, started) -> int:
         ],
         "total_area": out.total_area,
     }
-    _emit(args, report, started)
     if any(r.verdict == "budget-exhausted" for r in out.rows):
         return EXIT_BUDGET
     return EXIT_PASS if out.passed else EXIT_FAIL
@@ -142,23 +139,18 @@ def _context(args):
     return standard_context(args.n, args.m, args.r)
 
 
-def _cmd_pulldown(args, report, started) -> int:
-    ctx = _context(args)
-    out = phi(ctx, args.k, word(args.word), args.h)
+def _cmd_pulldown(args, report) -> int:
+    out = phi(_context(args), args.k, word(args.word), args.h)
     report["verdicts"] = {"word": str(out)}
-    _emit(args, report, started)
     return EXIT_PASS
 
 
-def _cmd_flatten(args, report, started) -> int:
-    ctx = _context(args)
-    out = flatten_word(ctx, word(args.word))
-    report["verdicts"] = {"word": str(out)}
-    _emit(args, report, started)
+def _cmd_flatten(args, report) -> int:
+    report["verdicts"] = {"word": str(flatten_word(_context(args), word(args.word)))}
     return EXIT_PASS
 
 
-def _cmd_construct(args, report, started) -> int:
+def _cmd_construct(args, report) -> int:
     if args.what == "knmr":
         if args.present:
             pres = k32_presentations()[args.present]
@@ -181,7 +173,7 @@ def _cmd_construct(args, report, started) -> int:
                 for m in members
             ]
         }
-    elif args.what == "fiber":
+    else:  # fiber
         inputs = fileio.load_fiber_inputs(_load_json(args.spec))
         out = fiber_presentation(inputs)
         report["inputs"] = _digest(args.spec)
@@ -189,13 +181,10 @@ def _cmd_construct(args, report, started) -> int:
             "complete": out.complete,
             **fileio.dump_presentation(out.presentation),
         }
-    else:
-        raise ValueError(args.what)
-    _emit(args, report, started)
     return EXIT_PASS
 
 
-def _cmd_bb(args, report, started) -> int:
+def _cmd_bb(args, report) -> int:
     delta = fileio.load_flag_complex(_load_json(args.complex))
     tree = bb.spanning_tree(delta)
     report["inputs"] = _digest(args.complex)
@@ -210,12 +199,9 @@ def _cmd_bb(args, report, started) -> int:
                 for m in members
             ]
         }
-    elif args.action == "rarea":
+    else:  # rarea
         rows = bb.rarea_sample(delta, tree, args.index_bound)
         report["verdicts"] = {"table": rows}
-    else:
-        raise ValueError(args.action)
-    _emit(args, report, started)
     return EXIT_PASS
 
 
@@ -223,7 +209,7 @@ def _parse_factors(text: str):
     return [factor.split() for factor in text.split(",")]
 
 
-def _cmd_distort(args, report, started) -> int:
+def _cmd_distort(args, report) -> int:
     theta = fileio.load_charge_map(_load_json(args.theta))
     spec = DirectProductSpec(_parse_factors(args.factors), theta)
     sub = [word(t) for t in args.sub_gens.split(",")]
@@ -237,39 +223,40 @@ def _cmd_distort(args, report, started) -> int:
         "value": result.value,
         "table": list(result.table),
     }
-    _emit(args, report, started)
     return EXIT_PASS if result.kind == "value" else EXIT_BUDGET
 
 
-def _cmd_depth(args, report, started) -> int:
+def _cmd_depth(args, report) -> int:
     theta = fileio.load_charge_map(_load_json(args.theta))
     spec = DirectProductSpec(_parse_factors(args.factors), theta)
     value = depth_coabelian(spec)
     report["inputs"] = _digest(args.theta)
     report["verdicts"] = {"depth": value}
-    _emit(args, report, started)
     return EXIT_PASS
 
 
-def _cmd_bounds(args, report, started) -> int:
-    inputs = []
-    for text in (args.alpha, args.rho, args.pi, args.rarea, args.beta1,
-                 args.beta2, args.distortion):
-        if text is not None:
-            inputs.append(parse_bound(text))
-    kind = args.kind
-    if kind == "area-radius":
-        out = compose_bounds(kind, *inputs, r=args.r)
-    else:
-        out = compose_bounds(kind, *inputs)
+# the bound flags each kind takes, in compose_bounds order
+_BOUND_FLAGS = {
+    "area-radius": ("alpha", "rho"),
+    "penetration": ("alpha", "pi", "rarea"),
+    "split": ("beta1", "beta2"),
+    "split-distortion": ("beta1", "distortion", "beta2"),
+}
+_BOUND_INPUTS = tuple(dict.fromkeys(f for fs in _BOUND_FLAGS.values() for f in fs))
+
+
+def _cmd_bounds(args, report) -> int:
+    wanted = _BOUND_FLAGS[args.kind]
+    if {f for f in _BOUND_INPUTS if getattr(args, f) is not None} != set(wanted):
+        raise ValueError(f"--kind {args.kind} takes exactly "
+                         + ", ".join(f"--{f}" for f in wanted))
+    inputs = [parse_bound(getattr(args, f)) for f in wanted]
+    out = compose_bounds(args.kind, *inputs, r=args.r)
     report["verdicts"] = {"canonical": out.canonical(), "expanded": repr(out)}
-    _emit(args, report, started)
     return EXIT_PASS
 
 
-def _cmd_fixtures(args, report, started) -> int:
-    if args.action != "run":
-        raise ValueError(args.action)
+def _cmd_fixtures(args, report) -> int:
     names = [args.only] if args.only else list(acceptance.CRITERIA)
     verdicts = []
     ok = True
@@ -282,7 +269,6 @@ def _cmd_fixtures(args, report, started) -> int:
         )
         ok = ok and result.passed
     report["verdicts"] = verdicts
-    _emit(args, report, started)
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -303,23 +289,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reduce", help="freely reduce a word")
+    p.set_defaults(run=_cmd_reduce)
     p.add_argument("--word", required=True)
 
     p = sub.add_parser("area", help="exact area of a word by bounded search")
+    p.set_defaults(run=_cmd_area)
     p.add_argument("--presentation", required=True)
     p.add_argument("--word", required=True)
 
     p = sub.add_parser("dehn", help="max area over null-homotopic words")
+    p.set_defaults(run=_cmd_dehn)
     p.add_argument("--presentation", required=True)
     p.add_argument("--length", type=int, required=True)
 
     p = sub.add_parser("verify-scheme", help="check a claimed-area scheme")
+    p.set_defaults(run=_cmd_verify_scheme)
     p.add_argument("--presentation", required=True)
     p.add_argument("--scheme", required=True)
     p.add_argument("--sequences", help="optional sequence file per row")
 
-    for name in ("pulldown", "flatten"):
+    for name, run in (("pulldown", _cmd_pulldown), ("flatten", _cmd_flatten)):
         p = sub.add_parser(name)
+        p.set_defaults(run=run)
         p.add_argument("--n", type=int, default=3)
         p.add_argument("--m", type=int, default=2)
         p.add_argument("--r", type=int, default=1)
@@ -329,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--h", type=int, required=True)
 
     p = sub.add_parser("construct")
+    p.set_defaults(run=_cmd_construct)
     p.add_argument("what", choices=("knmr", "cyclic", "fiber"))
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--m", type=int, default=2)
@@ -339,11 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="fiber product inputs file")
 
     p = sub.add_parser("bb")
+    p.set_defaults(run=_cmd_bb)
     p.add_argument("--complex", required=True)
     p.add_argument("action", choices=("present", "families", "rarea"))
     p.add_argument("--index-bound", type=int, default=0, dest="index_bound")
 
     p = sub.add_parser("distort")
+    p.set_defaults(run=_cmd_distort)
     p.add_argument("--theta", required=True)
     p.add_argument("--factors", required=True,
                    help="comma-separated factors, generators space-separated")
@@ -352,23 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
 
     p = sub.add_parser("depth")
+    p.set_defaults(run=_cmd_depth)
     p.add_argument("--theta", required=True)
     p.add_argument("--factors", required=True)
 
     p = sub.add_parser("bounds")
-    p.add_argument("--kind", required=True,
-                   choices=("area-radius", "penetration", "split",
-                            "split-distortion"))
-    p.add_argument("--alpha")
-    p.add_argument("--rho")
-    p.add_argument("--pi")
-    p.add_argument("--rarea")
-    p.add_argument("--beta1")
-    p.add_argument("--beta2")
-    p.add_argument("--distortion")
+    p.set_defaults(run=_cmd_bounds)
+    p.add_argument("--kind", required=True, choices=tuple(_BOUND_FLAGS))
+    for flag in _BOUND_INPUTS:
+        p.add_argument(f"--{flag}")
     p.add_argument("--r", type=int, default=1)
 
     p = sub.add_parser("fixtures", help="run the acceptance suite")
+    p.set_defaults(run=_cmd_fixtures)
     p.add_argument("action", choices=("run",))
     p.add_argument("--only", help="run a single named criterion")
 
@@ -383,22 +373,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     started = time.monotonic()
     report = {"command": args.command}
-    handlers = {
-        "reduce": lambda: _cmd_reduce(args),
-        "area": lambda: _cmd_area(args, report, started),
-        "dehn": lambda: _cmd_dehn(args, report, started),
-        "verify-scheme": lambda: _cmd_verify_scheme(args, report, started),
-        "pulldown": lambda: _cmd_pulldown(args, report, started),
-        "flatten": lambda: _cmd_flatten(args, report, started),
-        "construct": lambda: _cmd_construct(args, report, started),
-        "bb": lambda: _cmd_bb(args, report, started),
-        "distort": lambda: _cmd_distort(args, report, started),
-        "depth": lambda: _cmd_depth(args, report, started),
-        "bounds": lambda: _cmd_bounds(args, report, started),
-        "fixtures": lambda: _cmd_fixtures(args, report, started),
-    }
     try:
-        return handlers[args.command]()
+        code = args.run(args, report)
+        _emit(args, report, started)
+        return code
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -115,23 +115,17 @@ def dump_presentation(pres: GroupPresentation) -> dict:
 
 
 def load_scheme(data) -> Scheme:
-    """A scheme from ``{"rows": [{"word": ..., "area": ...}, ...]}``; a row
-    may also give its ``heights`` as a list of integers."""
+    """A scheme from ``{"rows": [{"word": ..., "area": ...}, ...]}``.  A row
+    that claims ``heights`` is rejected: no verifier checks them."""
     rows = _field(_object(data, "scheme"), "scheme", "rows",
                   lambda v: isinstance(v, list), "a list of rows")
     out = []
     for i, row in enumerate(rows):
         what = f"scheme row {i}"
         row = _object(row, what)
-        heights = _field(row, what, "heights", lambda v: v is None or _is_ints(v),
-                         "a list of integers", default=None)
-        out.append(
-            SchemeRow(
-                _word(row, what, "word"),
-                _int(row, what, "area"),
-                tuple(heights) if heights is not None else None,
-            )
-        )
+        if "heights" in row:
+            raise ValueError(f"{what} field 'heights' is not checked; leave it out")
+        out.append(SchemeRow(_word(row, what, "word"), _int(row, what, "area")))
     return Scheme(tuple(out))
 
 

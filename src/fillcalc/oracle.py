@@ -863,14 +863,12 @@ def distortion_sample(
         ball = _cayley_levels(ambient_generators, normal_form, budget, clock, length)
         members = {key: w for _, key, w in ball if member(w)}
         remaining = set(members)
-        level = 0
         sub = _cayley_levels(sub_generators, normal_form, budget, clock)
         for radius, key, _ in sub:
-            # stop at the end of the level that reaches the last member
-            if radius > level and not remaining:
-                break
-            level = dist[key] = radius
+            dist[key] = radius
             remaining.discard(key)
+            if not remaining:
+                break
     except _OverBudget:
         return DistortionSample("budget-exhausted")
     if remaining:

@@ -355,7 +355,6 @@ def _common_prefix(a: tuple, b: tuple) -> int:
 class SchemeRow:
     word: Word
     area: int
-    heights: Optional[Tuple[int, ...]] = None
 
 
 @dataclass(frozen=True)

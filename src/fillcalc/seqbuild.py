@@ -49,31 +49,28 @@ class WordEditor:
     def relator(self, pos: int, replaced: Word, replacement: Word) -> None:
         self._emit(find_relator_move(self.pres, pos, replaced, replacement))
 
-    def swap(self, pos: int) -> int:
-        """Transpose the letters at pos, pos+1.  Returns the relator cost:
-        identical letters cost nothing (the word is unchanged), a cancelling
-        pair is recycled through a free contraction and expansion, and
-        distinct generators need one relator application."""
+    def swap(self, pos: int) -> None:
+        """Transpose the letters at pos, pos+1: identical letters need no
+        move (the word is unchanged), a cancelling pair is recycled through a
+        free contraction and expansion, and distinct generators need one
+        relator application."""
         a, b = self.word[pos], self.word[pos + 1]
         if a == b:
-            return 0
+            return
         if a.gen == b.gen:
             self.contract(pos)
             self.expand(pos, b)
-            return 0
-        self.relator(pos, Word((a, b)), Word((b, a)))
-        return 1
+        else:
+            self.relator(pos, Word((a, b)), Word((b, a)))
 
-    def move_letter(self, src: int, dst: int) -> int:
+    def move_letter(self, src: int, dst: int) -> None:
         """Bubble the letter at src to position dst by transpositions."""
-        cost = 0
         if dst < src:
             for p in range(src, dst, -1):
-                cost += self.swap(p - 1)
+                self.swap(p - 1)
         else:
             for p in range(src, dst):
-                cost += self.swap(p)
-        return cost
+                self.swap(p)
 
     def insert_cancelling(self, pos: int, w: Word) -> None:
         """Free-insert the word w w^-1 at pos."""
@@ -99,12 +96,11 @@ class WordEditor:
             i for i in range(start, end) if self.word[i].gen == gen
         ]
 
-    def cancel_gen_in_window(self, gen: str, start: int, end: int) -> int:
+    def cancel_gen_in_window(self, gen: str, start: int, end: int) -> None:
         """Cancel every pair of gen-letters inside [start, end): repeatedly
         take the closest opposite-sign pair that are adjacent in the
-        subsequence of gen-letters, bubble them together, contract.  Returns
-        relator cost; the window shrinks by two per cancellation."""
-        cost = 0
+        subsequence of gen-letters, bubble them together, contract.  The
+        window shrinks by two per cancellation."""
         while True:
             idxs = self._gen_positions(gen, start, end)
             pair = None
@@ -113,32 +109,29 @@ class WordEditor:
                     if pair is None or b - a < pair[1] - pair[0]:
                         pair = (a, b)
             if pair is None:
-                return cost
+                return
             i, j = pair
-            cost += self.move_letter(i, j - 1)
+            self.move_letter(i, j - 1)
             self.contract(j - 1)
             end -= 2
 
-    def _alternate(self, lo: int, hi: int) -> int:
+    def _alternate(self, lo: int, hi: int) -> None:
         """Spread the (at most two kinds of) letters in [lo, hi) so equal
         letters never sit adjacent where avoidable; keeps prefix charges from
         accumulating inside merged power blocks."""
-        cost = 0
         for t in range(lo, hi - 1):
             if self.word[t] == self.word[t + 1]:
                 u = t + 2
                 while u < hi and self.word[u] == self.word[t]:
                     u += 1
                 if u < hi:
-                    cost += self.move_letter(u, t + 1)
-        return cost
+                    self.move_letter(u, t + 1)
 
-    def cancel_gen_interleaved(self, gen: str, start: int, end: int) -> int:
+    def cancel_gen_interleaved(self, gen: str, start: int, end: int) -> None:
         """Cancel the gen-letters of two abutting power blocks inside
         [start, end), keeping the growing residue block interleaved so its
         heights stay bounded.  Expects the gen-subsequence to carry one sign
         then the other (a single junction)."""
-        cost = 0
         while True:
             idxs = self._gen_positions(gen, start, end)
             pair = None
@@ -147,27 +140,24 @@ class WordEditor:
                     pair = (a, b)
                     break
             if pair is None:
-                cost += self._alternate(start, end)
-                return cost
+                self._alternate(start, end)
+                return
             i, j = pair
-            cost += self.move_letter(i, j - 1)
+            self.move_letter(i, j - 1)
             self.contract(j - 1)
             end -= 2
             idxs = self._gen_positions(gen, start, end)
             lo = max((p for p in idxs if p < j - 1), default=start - 1) + 1
             hi = min((p for p in idxs if p >= j - 1), default=end)
-            cost += self._alternate(lo, hi)
+            self._alternate(lo, hi)
 
-    def sort(self, lo: int, hi: int, key, swap=None) -> int:
+    def sort(self, lo: int, hi: int, key, swap=None) -> None:
         """Stable insertion sort of the letters in [lo, hi) by key, one
         adjacent transposition at a time.  swap(editor, pos) performs a
-        transposition and returns its relator cost; it defaults to
-        WordEditor.swap."""
+        transposition; it defaults to WordEditor.swap."""
         swap = swap or WordEditor.swap
-        cost = 0
         for i in range(lo + 1, hi):
             j = i
             while j > lo and key(self.word[j - 1]) > key(self.word[j]):
-                cost += swap(self, j - 1)
+                swap(self, j - 1)
                 j -= 1
-        return cost

@@ -173,6 +173,13 @@ def test_find_null_homotopy_examples():
     assert BBModel(K3, K3_TREE).K == 3
 
 
+def test_find_null_homotopy_of_the_empty_cycle():
+    # the empty cycle is its own null-homotopy; the search used to raise
+    nh = find_null_homotopy(K3, ())
+    assert nh.start == () and nh.moves == ()
+    assert bestvina_brady.replay_null_homotopy(K3, nh) == ()
+
+
 @pytest.mark.parametrize("max_states", [1, 2, 5])
 def test_find_null_homotopy_max_states_is_a_cap(max_states, monkeypatch):
     """The doubled triangle needs two collapses; a budget checked only when
@@ -200,7 +207,7 @@ def test_null_homotopy_to_power_sequence():
         from fillcalc.seqbuild import WordEditor
 
         editor = WordEditor(model.pres, model.power_word(cycle, n))
-        cost = model.fill_cycle_power(editor, 0, model.null_homotopy(cycle), n)
+        model.fill_cycle_power(editor, 0, model.null_homotopy(cycle), n)
         editor.free_to(EMPTY)
         acct = replay_sequence(model.pres, editor.sequence())
         assert acct.endpoints[1] == EMPTY

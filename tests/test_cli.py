@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from fillcalc import oracle, pulldown, rewriting
+from fillcalc import acceptance, oracle, pulldown, rewriting
 from fillcalc.cli import main
 from fillcalc.words import word
 
@@ -32,7 +32,7 @@ def k3(tmp_path):
 
 def test_reduce(capsys):
     assert main(["reduce", "--word", "x x' y"]) == 0
-    assert capsys.readouterr().out.strip() == "y"
+    assert json.loads(capsys.readouterr().out)["verdicts"] == {"word": "y"}
 
 
 def test_area_scheme_word(z2, tmp_path, capsys):
@@ -190,6 +190,23 @@ def test_fixtures_internal_check_exit_code(monkeypatch, capsys):
     assert "left residue" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,detail", [
+    ("bounded-noise", "x y x' y': boundary boundary mismatch"),
+    ("pulldown-pipeline", "trial 0: boundary boundary mismatch"),
+])
+def test_fixtures_boundary_mismatch_fails_with_a_report(monkeypatch, capsys, name,
+                                                         detail):
+    # a mismatch escaped bounded-noise as a ValueError: exit 2 and no report
+    def mismatch(pres, expr, w, theta=None):
+        raise rewriting.BoundaryMismatchError(word("x"))
+
+    monkeypatch.setattr(acceptance, "validate_expression", mismatch)
+    assert main(["fixtures", "run", "--only", name]) == 1
+    (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdict["name"] == name and not verdict["passed"]
+    assert verdict["detail"].startswith(detail)
+
+
 def test_depth(tmp_path, capsys):
     theta = tmp_path / "theta.json"
     theta.write_text(
@@ -240,6 +257,35 @@ def test_bounds(capsys):
 
 def test_bounds_usage_error(capsys):
     assert main(["bounds", "--kind", "split", "--beta1", "l^2"]) == 2
+    assert "--kind split takes exactly --beta1, --beta2" in capsys.readouterr().err
+
+
+def test_bounds_binds_each_flag_by_name(capsys):
+    # split-distortion takes (beta1, distortion, beta2); binding the flags
+    # in their declaration order swapped distortion and beta2 (2*l^3)
+    assert main(["bounds", "--kind", "split-distortion", "--beta1", "l",
+                 "--distortion", "l^3", "--beta2", "l^2"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    want = pulldown.compose_bounds(
+        "split-distortion", *(pulldown.parse_bound(t) for t in ("l", "l^3", "l^2"))
+    )
+    assert verdicts == {"canonical": want.canonical(), "expanded": repr(want)}
+    assert verdicts["expanded"] == "l^4 + l^2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "split", "--alpha", "l^2", "--rho", "l"],
+    ["--kind", "split", "--beta1", "l^2", "--beta2", "l^2", "--rho", "l"],
+    ["--kind", "penetration", "--alpha", "l^2", "--pi", "l", "--rarea", "l^2",
+     "--beta1", "l"],
+], ids=["other-kinds-flags", "one-extra-flag", "extra-beta1"])
+def test_bounds_rejects_a_flag_its_kind_does_not_take(argv, capsys):
+    assert main(["bounds"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    kind = argv[1]
+    flags = {"split": "--beta1, --beta2", "penetration": "--alpha, --pi, --rarea"}
+    assert f"--kind {kind} takes exactly {flags[kind]}" in captured.err
 
 
 def test_fixtures_single(capsys):
@@ -252,14 +298,28 @@ def test_fixtures_single(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["reduce", "--word", "x x' y"],
+    ["area", "--presentation", "{z2}", "--word", "x y x' y'"],
+    ["dehn", "--presentation", "{z2}", "--length", "2"],
+    ["verify-scheme", "--presentation", "{z2}", "--scheme", "{scheme}"],
     ["pulldown", "--k", "1", "--h", "0", "--word", "e1_2"],
     ["flatten", "--word", "e1_2 e1_2'"],
-    ["bounds", "--kind", "split", "--beta1", "l^2", "--beta2", "l^2"],
     ["construct", "knmr", "--present", "q1"],
+    ["bb", "--complex", "{k3}", "present"],
+    ["distort", "--theta", "{theta}", "--factors", "x1 y1,x2 y2",
+     "--sub-gens", "x1 x2',y1,y2", "--length", "1"],
+    ["depth", "--theta", "{theta}", "--factors", "x1 y1,x2 y2"],
+    ["bounds", "--kind", "split", "--beta1", "l^2", "--beta2", "l^2"],
     ["fixtures", "run", "--only", "bound-calculators"],
 ], ids=lambda argv: argv[0])
-def test_stdout_is_one_json_report(argv, capsys):
-    assert main(argv) == 0
+def test_stdout_is_one_json_report(argv, z2, k3, tmp_path, capsys):
+    theta, scheme = tmp_path / "theta.json", tmp_path / "scheme.json"
+    theta.write_text(json.dumps(
+        {"rank": 1, "charges": {"x1": [1], "y1": [0], "x2": [1], "y2": [0]}}
+    ))
+    scheme.write_text(json.dumps(ONE_ROW))
+    paths = {"{z2}": z2, "{k3}": k3, "{theta}": str(theta), "{scheme}": str(scheme)}
+    assert main([paths.get(arg, arg) for arg in argv]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == argv[0]
     assert report["version"] == 2
@@ -444,8 +504,8 @@ def test_malformed_sequence_is_a_usage_error(tmp_path, capsys, moves, field):
                  id="no-area"),
     pytest.param({"rows": [{"word": "x y x' y'", "area": 1.5}]}, None,
                  "'area' must be an integer", id="area-float"),
-    pytest.param({"rows": [{"word": "x y x' y'", "area": 1, "heights": ["1"]}]},
-                 None, "'heights' must be a list of integers", id="heights-string"),
+    pytest.param({"rows": [{"word": "x y x' y'", "area": 1, "heights": [1]}]},
+                 None, "scheme row 0 field 'heights' is not checked", id="heights-given"),
     pytest.param({"rows": [{"word": 5, "area": 1}]}, None,
                  "scheme row 0 field 'word' must be a word string", id="word-number"),
     pytest.param({"row": []}, None, "scheme field 'rows' is missing", id="no-rows"),

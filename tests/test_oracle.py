@@ -943,23 +943,34 @@ def test_distortion_sample_matches_the_reference(
     got = distortion_sample(sub, ambient, length, normal_form, budget, **decide)
     if ball_size(ambient, normal_form, length) > max_states:
         assert got.kind == "budget-exhausted"
-    else:
+        return
+    want = reference_distortion_sample(sub, ambient, length, normal_form,
+                                       budget, member)
+    if want.kind == "budget-exhausted" and got.kind == "value":
+        # the reference finishes the level that reaches the last member, so
+        # its state cap can cut a search that ends at that member; there the
+        # value is the uncapped reference's
         want = reference_distortion_sample(sub, ambient, length, normal_form,
-                                           budget, member)
-        assert got == want
+                                           SearchBudget(), member)
+    assert got == want
 
 
-@pytest.mark.parametrize("max_states, kind", [(3, "budget-exhausted"),
-                                              (4, "budget-exhausted"),
+@pytest.mark.parametrize("max_states, kind", [(2, "budget-exhausted"),
+                                              (3, "value"),
+                                              (4, "value"),
                                               (5, "value")])
 def test_distortion_subgroup_search_completes_its_last_level(max_states, kind):
-    # x' is the last member reached, third of the five elements the first
-    # subgroup level holds with the identity; y and y' complete that level
+    # the ambient ball is 1, x, x'; the subgroup search reaches x', the last
+    # member, as its third element and stops there, before y and y' finish
+    # the level, so caps of 3 and 4 states no longer cut it
     res = distortion_sample(
         [word("x"), word("y")], [word("x")], 1, free_normal_form,
         SearchBudget(max_states=max_states), membership=lambda w: True,
     )
     assert res.kind == kind
+    if kind == "value":
+        assert res.value == 1
+        assert res.table == (("1", 0), ("x", 1), ("x'", 1))
 
 
 def test_distortion_kernel_quadratic_consistency():
