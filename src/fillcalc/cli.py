@@ -150,23 +150,47 @@ def _cmd_flatten(args, report) -> int:
     return EXIT_PASS
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+# the flags each construct target takes, with their defaults; fiber's
+# --spec has none and must be given
+_CONSTRUCT_FLAGS = {
+    "knmr": {"n": 3, "m": 2, "r": 1, "present": None},
+    "cyclic": {"data": None, "index_bound": 0},
+    "fiber": {"spec": None},
+}
+
+
 def _cmd_construct(args, report) -> int:
+    takes = _CONSTRUCT_FLAGS[args.what]
+    given = {f: getattr(args, f) for fs in _CONSTRUCT_FLAGS.values() for f in fs
+             if getattr(args, f) is not None}
+    if not given.keys() <= takes.keys():
+        raise ValueError(f"construct {args.what} takes only "
+                         + ", ".join(map(_flag, takes)))
+    if args.what == "fiber" and "spec" not in given:
+        raise ValueError("construct fiber needs --spec")
+    if "present" in given and given.keys() & {"n", "m", "r"}:
+        raise ValueError("construct knmr --present excludes --n, --m, --r")
+    opts = {**takes, **given}
     if args.what == "knmr":
-        if args.present:
-            pres = k32_presentations()[args.present]
+        if opts["present"]:
+            pres = k32_presentations()[opts["present"]]
             report["verdicts"] = fileio.dump_presentation(pres)
         else:
-            spec = KnmrSpec(args.n, args.m, args.r)
+            spec = KnmrSpec(opts["n"], opts["m"], opts["r"])
             report["verdicts"] = {
                 "generators": [str(g) for g in knmr_generators(spec)]
             }
     elif args.what == "cyclic":
-        if args.data:
-            data = fileio.load_pnf_data(_load_json(args.data))
-            report["inputs"] = _digest(args.data)
+        if opts["data"]:
+            data = fileio.load_pnf_data(_load_json(opts["data"]))
+            report["inputs"] = _digest(opts["data"])
         else:
             data = k32_pnf_data()
-        members = cyclic_infinite_presentation(data, args.index_bound)
+        members = cyclic_infinite_presentation(data, opts["index_bound"])
         report["verdicts"] = {
             "members": [
                 {"word": str(m.word), "index": m.index, "family": m.family}
@@ -174,9 +198,9 @@ def _cmd_construct(args, report) -> int:
             ]
         }
     else:  # fiber
-        inputs = fileio.load_fiber_inputs(_load_json(args.spec))
+        inputs = fileio.load_fiber_inputs(_load_json(opts["spec"]))
         out = fiber_presentation(inputs)
-        report["inputs"] = _digest(args.spec)
+        report["inputs"] = _digest(opts["spec"])
         report["verdicts"] = {
             "complete": out.complete,
             **fileio.dump_presentation(out.presentation),
@@ -249,9 +273,11 @@ def _cmd_bounds(args, report) -> int:
     wanted = _BOUND_FLAGS[args.kind]
     if {f for f in _BOUND_INPUTS if getattr(args, f) is not None} != set(wanted):
         raise ValueError(f"--kind {args.kind} takes exactly "
-                         + ", ".join(f"--{f}" for f in wanted))
+                         + ", ".join(map(_flag, wanted)))
+    if args.r is not None and args.kind != "area-radius":
+        raise ValueError("--r is read only by --kind area-radius")
     inputs = [parse_bound(getattr(args, f)) for f in wanted]
-    out = compose_bounds(args.kind, *inputs, r=args.r)
+    out = compose_bounds(args.kind, *inputs, r=1 if args.r is None else args.r)
     report["verdicts"] = {"canonical": out.canonical(), "expanded": repr(out)}
     return EXIT_PASS
 
@@ -321,13 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct")
     p.set_defaults(run=_cmd_construct)
-    p.add_argument("what", choices=("knmr", "cyclic", "fiber"))
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("what", choices=tuple(_CONSTRUCT_FLAGS))
+    p.add_argument("--n", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument("--r", type=int)
     p.add_argument("--present", choices=("p1", "p2", "p3", "q1", "q2"))
     p.add_argument("--data", help="positive normal form data file")
-    p.add_argument("--index-bound", type=int, default=0, dest="index_bound")
+    p.add_argument("--index-bound", type=int, dest="index_bound")
     p.add_argument("--spec", help="fiber product inputs file")
 
     p = sub.add_parser("bb")
@@ -355,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=tuple(_BOUND_FLAGS))
     for flag in _BOUND_INPUTS:
         p.add_argument(f"--{flag}")
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--r", type=int, help="area-radius only (default 1)")
 
     p = sub.add_parser("fixtures", help="run the acceptance suite")
     p.set_defaults(run=_cmd_fixtures)

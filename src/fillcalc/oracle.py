@@ -127,7 +127,8 @@ class _Coder:
     """Pack letters into single characters for fast search-state handling.
 
     Holds every table a search needs for one presentation; ``_coder`` builds
-    it once per presentation, and no search mutates it.
+    it once per presentation, and no search mutates it.  The table of
+    symmetries, which only Dehn sweeps read, is built on first use.
     """
 
     def __init__(self, pres: GroupPresentation):
@@ -177,6 +178,7 @@ class _Coder:
         self.basis = intlinalg.hermite_rows(
             [self.abelian_vector(self.encode(rel)) for rel in pres.relators]
         )
+        self._symmetries: Optional[List[Dict[int, str]]] = None
 
     def encode(self, w: Iterable[Letter]) -> str:
         return "".join(chr(self.index[let]) for let in w)
@@ -273,6 +275,16 @@ class _Coder:
                         k += 1
                     yield s[:i] + s[k:]
 
+    def symmetries(self) -> List[Dict[int, str]]:
+        """Signed generator permutations that map the set of insertions onto
+        itself, as ``str.translate`` tables on codes: the identity first,
+        then at most ``_SYMMETRY_LIMIT`` in all.  Each maps the search graph
+        at every length cap onto itself.  Built on first use, since only
+        ``dehn_sample`` reads it."""
+        if self._symmetries is None:
+            self._symmetries = _symmetries(self)
+        return self._symmetries
+
     def edge_moves(self, s: str, d: str) -> List:
         """Explicit moves realizing one search edge s -> d (reduced, encoded):
         the split-0 insertion of the first edge out of s that ends at d, then
@@ -286,6 +298,58 @@ class _Coder:
         raise InternalCheckError(
             f"search states {self.decode(s)} and {self.decode(d)} are not adjacent"
         )
+
+
+# the most automorphisms a Dehn sweep collects, and the most generator
+# images tried once the identity is found: any set that holds the identity
+# gives the same results, and a free group on n generators has n! 2^n
+_SYMMETRY_LIMIT = 64
+_SYMMETRY_TRIES = 50_000
+
+
+def _symmetries(coder: _Coder) -> List[Dict[int, str]]:
+    """Backtrack over generator images in generator order.  Each generator
+    tries itself first, then every unused generator with the same occurrence
+    profile (its count in each insertion, as a multiset), with either sign;
+    an insertion is checked once its last generator has an image.  The
+    identity is the first table found, after n tries; the search stops at
+    ``_SYMMETRY_LIMIT`` tables, or after ``_SYMMETRY_TRIES`` images tried."""
+    words = {entry[0] for entry in coder.insertions}
+    n = len(coder.letters) // 2
+    due: List[List[str]] = [[] for _ in range(n)]
+    for ins in words:
+        due[max(ord(c) >> 1 for c in ins)].append(ins)
+    profile = [sorted(sum(ord(c) >> 1 == g for c in ins) for ins in words)
+               for g in range(n)]
+    table: Dict[int, str] = {}
+    used = [False] * n
+    found: List[Dict[int, str]] = []
+    tries = 0
+
+    def extend(g: int) -> bool:
+        """Complete the images from generator g on; True once the search stops."""
+        nonlocal tries
+        if g == n:
+            found.append(dict(table))
+            return len(found) >= _SYMMETRY_LIMIT
+        for t in sorted(range(n), key=lambda t: t != g):
+            if used[t] or profile[t] != profile[g]:
+                continue
+            used[t] = True
+            for sign in (0, 1):
+                tries += 1
+                if found and tries > _SYMMETRY_TRIES:
+                    return True
+                table[2 * g] = chr(2 * t + sign)
+                table[2 * g + 1] = chr(2 * t + 1 - sign)
+                if all(ins.translate(table) in words for ins in due[g]):
+                    if extend(g + 1):
+                        return True
+            used[t] = False
+        return False
+
+    extend(0)
+    return found
 
 
 def _coder(pres: GroupPresentation) -> _Coder:
@@ -530,14 +594,17 @@ def find_filling(
 class DehnStats:
     """Where a Dehn sweep's words went: every enumerated word is rejected
     as not cyclically reduced, rejected by the relator lattice, a cyclic
-    duplicate of a word already searched, or searched.  ``search_states``
-    sums the searches' ``states``; ``empty_side_states`` counts the states
-    grown on the empty-word side, which the searches of one cap share."""
+    duplicate of a word already checked, decided through a symmetry of the
+    presentation (``symmetric``: its class is the image of a searched one),
+    or searched.  ``search_states`` sums the searches' ``states``;
+    ``empty_side_states`` counts the states grown on the empty-word side,
+    which the searches of one cap share."""
 
     enumerated: int = 0
     not_cyclically_reduced: int = 0
     off_lattice: int = 0
     cyclic_duplicates: int = 0
+    symmetric: int = 0
     searched: int = 0
     search_states: int = 0
     empty_side_states: int = 0
@@ -590,8 +657,13 @@ def dehn_sample(
     Enumerates cyclically reduced words (area is invariant under cyclic
     conjugation, inversion and free reduction, so one representative per
     class suffices), filters by the abelianized-relator lattice, and decides
-    each survivor as area_exact does.  The searches of one length cap share
-    the side rooted at the empty word, which changes no result.
+    each survivor as area_exact does.  A class that a symmetry of the
+    presentation (``_Coder.symmetries``) carries onto a searched class has
+    that class's verdict and area, so it is counted in ``words_checked``
+    but not searched; its area never exceeds the maximum already found, so
+    the witness is the first maximal word enumerated.  The searches of one
+    length cap share the side rooted at the empty word, which changes no
+    result.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
@@ -600,11 +672,14 @@ def dehn_sample(
     best = 0
     best_witness: Word = EMPTY
     clock = _Clock(budget)
+    # the classes enumerated, and the images of the searched ones
     seen = set()
+    decided = set()
     lattice: Dict[int, bool] = {}
     balls: Dict[int, _Ball] = {}
     kind = "value"
-    enumerated = not_reduced = off_lattice = duplicates = searched = states = 0
+    enumerated = not_reduced = off_lattice = duplicates = symmetric = 0
+    searched = states = 0
     for s, vec in _reduced_words(coder, length):
         enumerated += 1
         if clock.expired():
@@ -625,6 +700,9 @@ def dehn_sample(
             duplicates += 1
             continue
         seen.add(key)
+        if key in decided:
+            symmetric += 1
+            continue
         w = coder.decode(s)
         result = _area(pres, w, budget, balls)
         searched += 1
@@ -634,18 +712,21 @@ def dehn_sample(
             break
         if result.kind == "area" and result.area > best:
             best, best_witness = result.area, w
+        decided.update(_cyclic_key(s.translate(phi), inv) for phi in coder.symmetries())
     stats = DehnStats(
         enumerated,
         not_reduced,
         off_lattice,
         duplicates,
+        symmetric,
         searched,
         states,
         sum(len(ball.dist) for ball in balls.values()),
     )
+    checked = searched + symmetric
     if kind == "budget-exhausted":
-        return DehnSample(kind, words_checked=searched, stats=stats)
-    return DehnSample(kind, best, best_witness, searched, stats)
+        return DehnSample(kind, words_checked=checked, stats=stats)
+    return DehnSample(kind, best, best_witness, checked, stats)
 
 
 class DirectProductSpec:

@@ -288,6 +288,25 @@ def test_bounds_rejects_a_flag_its_kind_does_not_take(argv, capsys):
     assert f"--kind {kind} takes exactly {flags[kind]}" in captured.err
 
 
+@pytest.mark.parametrize("kind, argv", [
+    ("split", ["--beta1", "l^2", "--beta2", "l^2"]),
+    ("penetration", ["--alpha", "l^2", "--pi", "l", "--rarea", "l^2"]),
+    ("split-distortion", ["--beta1", "l", "--distortion", "l^3", "--beta2", "l^2"]),
+])
+def test_bounds_takes_r_only_for_area_radius(kind, argv, capsys):
+    assert main(["bounds", "--kind", kind] + argv + ["--r", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--r is read only by --kind area-radius" in captured.err
+
+
+def test_bounds_area_radius_r_defaults_to_one(capsys):
+    area_radius = ["bounds", "--kind", "area-radius", "--alpha", "l^2", "--rho", "l"]
+    for r, want in ([], "l^4"), (["--r", "1"], "l^4"), (["--r", "2"], "l^6"):
+        assert main(area_radius + r) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"]["canonical"] == want
+
+
 def test_fixtures_single(capsys):
     assert main(["fixtures", "run", "--only", "bound-calculators"]) == 0
     captured = capsys.readouterr()
@@ -407,6 +426,44 @@ def test_well_formed_construct_input_still_passes(tmp_path):
     pnf.write_text(json.dumps(dict(PNF, w_minus={"a": "a"})))
     assert main(["construct", "fiber", "--spec", str(fiber)]) == 0
     assert main(["construct", "cyclic", "--data", str(pnf)]) == 0
+
+
+def test_construct_fiber_needs_spec(capsys):
+    # read as the file None: a TypeError traceback and exit 1
+    assert main(["construct", "fiber"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "construct fiber needs --spec" in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--n", "5"], ["--m", "3"], ["--r", "4"],
+                                   ["--n", "5", "--r", "4"]])
+def test_construct_knmr_present_excludes_the_knmr_sizes(capsys, flags):
+    # --present builds a k32 presentation and ignored the sizes
+    assert main(["construct", "knmr", "--present", "p1"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "construct knmr --present excludes --n, --m, --r" in captured.err
+
+
+@pytest.mark.parametrize("argv, takes", [
+    (["cyclic", "--spec", "{fiber}"], "--data, --index-bound"),
+    (["cyclic", "--present", "q1", "--spec", "{fiber}"], "--data, --index-bound"),
+    (["cyclic", "--r", "2"], "--data, --index-bound"),
+    (["knmr", "--data", "{pnf}"], "--n, --m, --r, --present"),
+    (["knmr", "--index-bound", "1"], "--n, --m, --r, --present"),
+    (["fiber", "--spec", "{fiber}", "--n", "3"], "--spec"),
+], ids=["cyclic-spec", "cyclic-present-spec", "cyclic-r", "knmr-data",
+        "knmr-index-bound", "fiber-n"])
+def test_construct_rejects_a_flag_of_another_target(tmp_path, capsys, argv, takes):
+    fiber, pnf = tmp_path / "fiber.json", tmp_path / "pnf.json"
+    fiber.write_text(json.dumps(FIBER))
+    pnf.write_text(json.dumps(PNF))
+    argv = [a.format(fiber=fiber, pnf=pnf) for a in argv]
+    assert main(["construct"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"construct {argv[0]} takes only {takes}" in captured.err
 
 
 @pytest.mark.parametrize("data,field", [

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import time
 
@@ -527,13 +528,137 @@ def test_dehn_stats_account_for_every_word(monkeypatch):
     stats = res.stats
     assert stats.enumerated == (
         stats.not_cyclically_reduced + stats.off_lattice + stats.cyclic_duplicates
-        + stats.searched
+        + stats.symmetric + stats.searched
     )
-    assert stats.searched == res.words_checked == len(searched)
+    assert stats.searched + stats.symmetric == res.words_checked
+    assert stats.searched == len(searched)
     assert stats.search_states == sum(area_exact(Z2, w, budget).states for w in searched)
     # one cap, so one empty-word side
     assert 0 < stats.empty_side_states < stats.search_states
     assert res == dataclasses.replace(res, stats=oracle.DehnStats())
+
+
+def identity_only(monkeypatch):
+    """Make every sweep search each cyclic class, as with no symmetries."""
+    monkeypatch.setattr(oracle._Coder, "symmetries", lambda self: [{}])
+
+
+SYMMETRIC = {**SWEPT, "free": FREE, "non-reduced": SEARCHED["non-reduced"]}
+
+
+@pytest.mark.parametrize("name, lengths, caps", [
+    ("Z2", range(7), (None, 4, 6, 9)),
+    ("Z3", range(7), (None, 4, 6, 9)),
+    ("free", range(7), (None, 4, 6, 9)),
+    ("non-reduced", range(7), (None, 4, 6, 9)),
+    ("K3", range(5), (None, 4, 6, 9)),
+    ("K3", (5,), (6,)),
+], ids=["Z2", "Z3", "free", "non-reduced", "K3", "K3-length-5-cap-6"])
+def test_dehn_sweep_matches_the_unsymmetric_sweep(monkeypatch, name, lengths, caps):
+    """Searching one class per orbit of the presentation's symmetries gives
+    the kind, value, witness and words_checked of the sweep that searches
+    every cyclic class."""
+    pres = SYMMETRIC[name]
+    budgets = [SearchBudget(max_word_length=cap) for cap in caps]
+    got = [dehn_sample(pres, n, b) for n in lengths for b in budgets]
+    identity_only(monkeypatch)
+    want = [dehn_sample(pres, n, b) for n in lengths for b in budgets]
+    assert got == want
+    assert [r.stats.symmetric for r in want] == [0] * len(want)
+
+
+@pytest.mark.parametrize("max_states", [50, 170, 175, 400, 600, 605, 1000])
+def test_dehn_sweep_under_a_state_budget(monkeypatch, max_states):
+    """Each search the sweep runs is one the unsymmetric sweep runs, so a
+    value there is the same value here; on Z^3 at length 6 and cap 10 a
+    budget of 175 to 600 states cuts a search that the sweep now skips."""
+    budget = SearchBudget(max_word_length=10, max_states=max_states)
+    got = dehn_sample(Z3, 6, budget)
+    identity_only(monkeypatch)
+    want = dehn_sample(Z3, 6, budget)
+    if want.kind == "value":
+        assert got == want
+    else:
+        assert got.kind == ("value" if 175 <= max_states <= 600 else want.kind)
+    if got.kind == "value":
+        assert (got.value, got.witness) == (3, word("x y z x' y' z'"))
+
+
+def test_dehn_sweep_searches_one_class_per_orbit():
+    """The three benchmark sweeps: their values, witnesses and counts, with
+    the classes searched."""
+    for pres, length, value, witness, checked, searched in [
+        (Z2, 10, 6, "x x x y y x' x' x' y' y'", 93, 24),
+        (SWEPT["K3"], 4, 4, "a_b a_c a_b' a_c'", 100, 15),
+        (Z3, 6, 3, "x y z x' y' z'", 25, 4),
+    ]:
+        res = dehn_sample(pres, length)
+        assert (res.kind, res.value, res.witness, res.words_checked) == (
+            "value", value, word(witness), checked
+        )
+        assert (res.stats.searched, res.stats.symmetric) == (searched, checked - searched)
+
+
+def signed_permutations(n):
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((0, 1), repeat=n):
+            table = {}
+            for g, (t, sign) in enumerate(zip(perm, signs)):
+                table[2 * g] = chr(2 * t + sign)
+                table[2 * g + 1] = chr(2 * t + 1 - sign)
+            yield table
+
+
+TABLED = {
+    **SYMMETRIC,
+    **SEARCHED,
+    "octahedron": bb.dicks_leary_presentation(bb.octahedron_complex()),
+    "p3": constructors.k32_presentations()["p3"],
+    "q1": constructors.k32_presentations()["q1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLED))
+def test_symmetries_map_the_insertions_onto_themselves(name):
+    """Every table is a distinct signed generator permutation that maps the
+    set of insertions onto itself, the identity first; with at most six
+    generators the table holds every such permutation (Z^2 has 8, Z^3 48,
+    K3's Dicks-Leary presentation 24)."""
+    pres = TABLED[name]
+    coder = oracle._coder(pres)
+    insertions = {entry[0] for entry in coder.insertions}
+    table = coder.symmetries()
+    assert coder.symmetries() is table
+    assert 1 <= len(table) <= oracle._SYMMETRY_LIMIT
+    codes = "".join(chr(c) for c in range(len(coder.letters)))
+    images = [codes.translate(phi) for phi in table]
+    assert images[0] == codes and len(set(images)) == len(images)
+    for image in images:
+        assert sorted(image) == sorted(codes)
+        assert all(image[ord(coder.inv[c])] == coder.inv[image[ord(c)]] for c in codes)
+    for phi in table:
+        assert {ins.translate(phi) for ins in insertions} == insertions
+    n = len(pres.generators)
+    if n <= 6:
+        every = {codes.translate(phi) for phi in signed_permutations(n)
+                 if {ins.translate(phi) for ins in insertions} == insertions}
+        assert set(images) == every
+        assert len(every) == {"Z2": 8, "Z3": 48, "K3": 24}.get(name, len(every))
+
+
+def test_symmetries_stop_at_their_limits(monkeypatch):
+    """A presentation without relators on ten generators has 10! 2^10
+    symmetries: the table stops at its limit and the sweep runs.  With no
+    tries to spare after the identity, the table is the identity alone."""
+    free10 = GroupPresentation(tuple(f"g{i}" for i in range(10)))
+    table = oracle._coder(free10).symmetries()
+    assert len(table) == oracle._SYMMETRY_LIMIT
+    res = dehn_sample(free10, 4, SearchBudget(max_word_length=6))
+    assert (res.kind, res.value) == ("value", 0)
+    assert res.stats.searched < res.words_checked
+    monkeypatch.setattr(oracle, "_SYMMETRY_TRIES", 0)
+    coder = oracle._Coder(SWEPT["K3"])
+    assert coder.symmetries() == [{c: chr(c) for c in range(len(coder.letters))}]
 
 
 SPEC22 = DirectProductSpec(
@@ -595,6 +720,43 @@ def test_raag_normal_form_canonical():
         w2 = random_word(rng, gens, 8)
         same = raag_equal(C4_ADJ, w1, w2)
         assert (raag_normal_form(C4_ADJ, w1) == raag_normal_form(C4_ADJ, w2)) == same
+
+
+RAAGS = {"C4": C4_ADJ, "K3": bb.triangle_complex().adjacency}
+
+
+@pytest.mark.parametrize("name", sorted(RAAGS))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    codes=st.lists(st.integers(0, 7), max_size=10),
+    edits=st.lists(st.tuples(st.booleans(), st.integers(0, 10), st.integers(0, 7)),
+                   max_size=8),
+    tail=st.lists(st.integers(0, 7), max_size=3),
+)
+def test_raag_normal_form_is_equal_exactly_when_raag_equal(name, codes, edits, tail):
+    """w2 is w1 after element-preserving edits (swapping adjacent commuting
+    letters, inserting a cancelling pair), then a tail that may or may not
+    be trivial; the normal forms agree exactly when raag_equal holds."""
+    adj = RAAGS[name]
+    gens = sorted(adj)
+
+    def letter(c):
+        return Letter(gens[c % len(gens)], 1 - 2 * (c // len(gens) % 2))
+
+    w1 = [letter(c) for c in codes]
+    w2 = list(w1)
+    for swap, at, c in edits:
+        i = at % (len(w2) + 1)
+        if not swap:
+            w2[i:i] = [letter(c), letter(c).inverse()]
+        elif i + 1 < len(w2) and w2[i].gen in adj[w2[i + 1].gen]:
+            w2[i], w2[i + 1] = w2[i + 1], w2[i]
+    w2 += [letter(c) for c in tail]
+    w1, w2 = Word(tuple(w1)), Word(tuple(w2))
+    same = raag_normal_form(adj, w1) == raag_normal_form(adj, w2)
+    assert same == raag_equal(adj, w1, w2)
+    if not tail:
+        assert same
 
 
 def test_cayley_distance_basic():
