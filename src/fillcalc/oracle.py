@@ -128,7 +128,9 @@ class _Coder:
 
     Holds every table a search needs for one presentation; ``_coder`` builds
     it once per presentation, and no search mutates it.  The table of
-    symmetries, which only Dehn sweeps read, is built on first use.
+    symmetries, which only Dehn sweeps read, and the window tables of
+    ``junctions``, which only searches under a tight cap read, are built on
+    first use.
     """
 
     def __init__(self, pres: GroupPresentation):
@@ -163,10 +165,13 @@ class _Coder:
             anti = "".join(self.inv[c] for c in ins)
             n = len(conj)
             self.insertions.append((ins, anti, full, rel, -sign, (n - rot) % n))
-        # the inverse of each insertion, by length: the subwords of a state
-        # that an insertion cancels completely
+        # the numbers of the insertions, and their inverses, by length: the
+        # inverses are the subwords of a state that an insertion cancels
+        # completely
+        self.by_length: Dict[int, List[int]] = {}
         self.cancelled: Dict[int, set] = {}
-        for ins, anti, *_ in self.insertions:
+        for e, (ins, anti, *_) in enumerate(self.insertions):
+            self.by_length.setdefault(len(ins), []).append(e)
             self.cancelled.setdefault(len(ins), set()).add(anti[::-1])
         # every edge that is not a collapse has a reverse edge when every
         # insertion is cyclically reduced and its rotations are insertions
@@ -179,6 +184,7 @@ class _Coder:
             [self.abelian_vector(self.encode(rel)) for rel in pres.relators]
         )
         self._symmetries: Optional[List[Dict[int, str]]] = None
+        self._windows: Dict[Tuple[int, int], Dict[str, Tuple]] = {}
 
     def encode(self, w: Iterable[Letter]) -> str:
         return "".join(chr(self.index[let]) for let in w)
@@ -213,29 +219,32 @@ class _Coder:
 
         By confluence only the junctions cancel (and, when the insertion
         cancels completely, the halves of s), so len(t) is measured before t
-        is sliced.  Without slack some letter must cancel, so only positions
-        next to a letter of s that cancels an end of the insertion are tried.
+        is sliced.  An insertion of length m fits only where at least
+        ceil((n + m - cap) / 2) of its letters cancel.  With slack (none
+        need cancel) every position is measured; otherwise only those
+        ``junctions`` returns for ``need``, that count but at most
+        ceil(m / 2).  Within the cap (n <= cap) the count never exceeds
+        ceil(m / 2); a larger one, as when ``edge_moves`` seeks an edge to a
+        shorter word, gets a superset of its positions from the shorter
+        windows, so a presentation keeps at most ceil(m / 2) window tables
+        per insertion length m.
         """
         inv = self.inv
         n = len(s)
         every = range(n + 1)
-        at: Dict[str, List[int]] = {}
-        for q, c in enumerate(s):
-            at.setdefault(c, []).append(q)
-        near: Dict[Tuple[str, str], List[int]] = {}
-        for entry in self.insertions:
+        # the positions to measure, per insertion number
+        plan: Dict[int, Iterable[int]] = {}
+        for m, group in self.by_length.items():
+            need = min((n + m - cap + 1) // 2, (m + 1) // 2)
+            if need <= 0:
+                plan.update(dict.fromkeys(group, every))
+            else:
+                plan.update(self.junctions(s, m, need))
+        for e in sorted(plan):
+            entry = self.insertions[e]
             ins, anti = entry[0], entry[1]
             m = len(ins)
-            if n + m <= cap:
-                positions: Iterable[int] = every
-            else:
-                ends = (anti[0], anti[-1])
-                positions = near.get(ends)
-                if positions is None:
-                    positions = near[ends] = sorted(
-                        {q + 1 for q in at.get(ends[0], ())}.union(at.get(ends[1], ()))
-                    )
-            for p in positions:
+            for p in plan[e]:
                 i, j = p, 0
                 while i and j < m and s[i - 1] == anti[j]:
                     i -= 1
@@ -253,6 +262,46 @@ class _Coder:
                     k += 1
                 if n - (k - i) <= cap:
                     yield s[:i] + s[k:], entry, p
+
+    def junctions(self, s: str, m: int, need: int) -> Dict[int, List[int]]:
+        """The positions worth measuring when at least ``need`` >= 1 letters
+        of an insertion of length m must cancel: per insertion number that
+        has any, ascending.
+
+        The letters of s that cancel at p read as the insertion's inverse:
+        before p, a suffix of it; from p on, a prefix.  When ``need`` or more
+        cancel, the ``need`` letters of s from p - min(a, need) on, with a
+        the letters cancelled before p, are such a window cut at p.  The
+        table for (m, need) maps every window of every insertion of length
+        m, cut at each of its need + 1 places, to the insertion numbers and
+        the cuts; it is built on first use, and p is a matching window's
+        start plus its cut.  For need = 1 the positions are those next to a
+        letter of s that cancels an end of the insertion."""
+        table = self._windows.get((m, need))
+        if table is None:
+            pairs: Dict[str, Tuple[List[int], List[int]]] = {}
+            for e in self.by_length[m]:
+                inverse = self.insertions[e][1][::-1]
+                # the window's first `cut` letters end the inverse, and the
+                # rest start it
+                for cut in range(need + 1):
+                    window = inverse[m - cut:] + inverse[:need - cut]
+                    numbers, cuts = pairs.setdefault(window, ([], []))
+                    numbers.append(e)
+                    cuts.append(cut)
+            # a tuple of numbers and one of cuts per window, not a tuple per
+            # pair, keeps the tables small beside a search's own states
+            table = self._windows[m, need] = {
+                window: (tuple(numbers), tuple(cuts))
+                for window, (numbers, cuts) in pairs.items()
+            }
+        found: Dict[int, set] = {}
+        for q in range(len(s) - need + 1):
+            hit = table.get(s[q:q + need])
+            if hit:
+                for e, cut in zip(*hit):
+                    found.setdefault(e, set()).add(q + cut)
+        return {e: sorted(found[e]) for e in found}
 
     def collapses(self, s: str) -> Iterable[str]:
         """The collapse targets of the reduced state s: for each subword of s
@@ -557,7 +606,8 @@ def find_filling(
     pres: GroupPresentation, w: Word, budget: SearchBudget = DEFAULT_BUDGET
 ) -> AreaResult:
     """Greedy (length-first) search for some filling of w, not necessarily of
-    minimal area; useful when only null-homotopy needs certifying."""
+    minimal area; useful when only null-homotopy needs certifying.  As in
+    area_exact, a reduced word longer than the cap exhausts the budget."""
     import heapq
 
     pres.check_word(w)
@@ -567,6 +617,8 @@ def find_filling(
     start = coder.reduce(coder.encode(w))
     if start == "":
         return AreaResult("area", 0, DerivationSequence(w, contraction_moves(w)), 0, 1)
+    if len(start) > cap:
+        return AreaResult("budget-exhausted", lower_bound=1, states=0)
     if not intlinalg.in_lattice(coder.basis, coder.abelian_vector(start)):
         return AreaResult("not-null-homotopic", states=0)
     dist = {start: 0}

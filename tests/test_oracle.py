@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fillcalc import bestvina_brady as bb, constructors, intlinalg, oracle
 from fillcalc.oracle import (
@@ -207,6 +207,51 @@ def test_moves_match_the_build_then_filter_loop(name, codes, slack):
         assert t == coder.reduce(s[:p] + full + s[p:])
 
 
+def search_states(pres, w, cap, levels):
+    """Every state of the first levels of both sides of the search for w at
+    the cap: the side rooted at w's reduced code and the empty-word side."""
+    coder = oracle._coder(pres)
+    out = []
+    for root in (coder.reduce(coder.encode(w)), ""):
+        ball = oracle._Ball(coder, cap, root)
+        for d in range(levels - 1):
+            while ball.levels[d] and len(ball.ends[d]) < len(ball.levels[d]):
+                ball.grow(d)
+        out.extend(s for level in ball.levels[:levels] for s in level)
+    return coder, out
+
+
+@pytest.mark.parametrize("pres, w, cap, levels", [
+    (SEARCHED["k32 amalgam"], constructors.k32_witness(1, 1), 12, 2),
+    (Z2, commutator(wpow(word("x"), 3), wpow(word("y"), 3)), 16, 3),
+], ids=["k32 amalgam", "Z2 square"])
+def test_moves_match_the_build_then_filter_loop_on_search_states(pres, w, cap, levels):
+    """States a real search reaches hold long runs that cancel against an
+    insertion, which random words rarely do; caps from six below a state's
+    length up make two or more letters cancel, so the window rule of
+    ``_Coder.junctions`` picks the positions."""
+    coder, states = search_states(pres, w, cap, levels)
+    assert len(states) > 100
+    windows = 0
+    for s in states:
+        for c in range(max(0, len(s) - 6), len(s) + 2):
+            got = list(coder.moves(s, c))
+            assert got == list(reference_moves(coder, s, c)), (s, c)
+            windows += sum(
+                min((len(s) + len(ins) - c + 1) // 2, len(ins)) >= 2
+                for _, (ins, *_), _ in got
+            )
+    assert windows > 1000
+
+
+def test_find_filling_of_a_word_over_the_cap_exhausts_the_budget():
+    w = commutator(wpow(word("x"), 3), wpow(word("y"), 3))
+    budget = SearchBudget(max_word_length=4)
+    want = oracle.AreaResult("budget-exhausted", lower_bound=1, states=0)
+    assert area_exact(Z2, w, budget) == want
+    assert find_filling(Z2, w, budget) == want
+
+
 def test_find_filling_greedy():
     res = find_filling(Z2, commutator(wpow(word("x"), 2), wpow(word("y"), 2)))
     assert res.kind == "area"
@@ -340,6 +385,37 @@ def test_area_of_inverse_word(name, terms):
     a, b = area_exact(pres, w, budget), area_exact(pres, w.inverse(), budget)
     if "budget-exhausted" not in (a.kind, b.kind):
         assert (a.kind, a.area) == (b.kind, b.area)
+
+
+@pytest.mark.parametrize("name", ["K3", "Z2"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    terms=NULL_TERMS,
+    codes=st.lists(st.integers(0, 63), max_size=8),
+    null=st.booleans(),
+    slack=st.integers(0, 4),
+)
+def test_a_larger_cap_never_gives_a_larger_area(name, terms, codes, null, slack):
+    """Every search path within cap c lies within cap c + 2, so the larger
+    cap finds an area no larger, and a word with no filling within c + 2
+    has none within c."""
+    pres = SWEPT[name]
+    coder = oracle._coder(pres)
+    if null:
+        w = null_word(pres, terms)
+    else:
+        w = coder.decode(coder.reduce("".join(chr(c % len(coder.letters)) for c in codes)))
+    assume(len(w) <= 8)
+    cap = max(1, len(w) + slack)
+    small, large = (
+        area_exact(pres, w, SearchBudget(max_word_length=c, max_states=100_000))
+        for c in (cap, cap + 2)
+    )
+    assert "budget-exhausted" not in (small.kind, large.kind)
+    if small.kind == "area":
+        assert large.kind == "area" and large.area <= small.area
+    if large.kind == "not-null-homotopic":
+        assert small.kind == "not-null-homotopic"
 
 
 def reference_area(pres, w, budget):
