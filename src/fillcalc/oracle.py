@@ -155,13 +155,13 @@ class _Coder:
         # of the corresponding split-0 move (which inserts the unreduced
         # conjugate)
         self.insertions: List[Tuple[str, str, str, int, int, int]] = []
-        seen = set()
+        number: Dict[str, int] = {}
         for conj, (rel, sign, rot) in pres.relator_index.items():
             full = self.encode(conj)
             ins = self.reduce(full)
-            if not ins or ins in seen:
+            if not ins or ins in number:
                 continue
-            seen.add(ins)
+            number[ins] = len(self.insertions)
             anti = "".join(self.inv[c] for c in ins)
             n = len(conj)
             self.insertions.append((ins, anti, full, rel, -sign, (n - rot) % n))
@@ -175,11 +175,7 @@ class _Coder:
             self.cancelled.setdefault(len(ins), set()).add(anti[::-1])
         # every edge that is not a collapse has a reverse edge when every
         # insertion is cyclically reduced and its rotations are insertions
-        self.reversible = all(
-            self.inv[ins[0]] != ins[-1]
-            and all(ins[r:] + ins[:r] in seen for r in range(len(ins)))
-            for ins in seen
-        )
+        self.reversible, self.repeats = self._repeats(number)
         self.basis = intlinalg.hermite_rows(
             [self.abelian_vector(self.encode(rel)) for rel in pres.relators]
         )
@@ -211,11 +207,74 @@ class _Coder:
                 out.append(c)
         return "".join(out)
 
+    def _repeats(
+        self, number: Dict[str, int]
+    ) -> Tuple[bool, List[Tuple[int, int, str, str]]]:
+        """Whether every insertion is cyclically reduced with its rotations
+        insertions (``reversible``), and per insertion number e the edges
+        (e, p) that ``moves`` skips because an earlier edge, of a rotation of
+        the same insertion, reaches the same state: (lo, hi, before, after).
+
+        Inserting ins at p, where it cancels a letters before p and b after
+        it, reduces alike with inserting its rotation by c letters at p - c,
+        for every c from -b to a.  lo is the least c >= 1 whose rotation
+        (ins[c:] + ins[:c], at p - c < p) has number at most e, and hi the
+        least c >= 1 whose rotation the other way (at p + c > p) has number
+        below e (m + 1 if none); when a >= lo or b >= hi an earlier edge
+        yields the same state, whether or not the insertion cancels
+        completely.  Likewise, when s[p - 1] == ins[-1], the unreduced word
+        is that of the right rotation at p - 1, and when s[p] == ins[0] that
+        of the left rotation at p + 1.  ``before`` holds the letters that
+        skip the edge when they are s[p - 1]: ins[-1] when that right
+        rotation's edge comes earlier, and the inverse of ins[0] when lo is
+        1; ``after`` likewise for s[p], with ins[0] and the inverse of
+        ins[-1] when hi is 1.  So most skipped edges are skipped before they
+        are measured.  The rule needs every rotation of
+        an insertion to be one, so it is off (no edge skipped) unless
+        ``reversible``.  Each orbit of rotations is looked up once."""
+        repeats: List = [None] * len(self.insertions)
+        for e, entry in enumerate(self.insertions):
+            if repeats[e] is not None:
+                continue
+            ins = entry[0]
+            m = len(ins)
+            # orbit[r]: the number of ins rotated left by r, -1 if none; e,
+            # the orbit's first insertion, is its least number
+            orbit = [number.get(ins[r:] + ins[:r], -1) for r in range(m)]
+            if self.inv[ins[0]] == ins[-1] or -1 in orbit:
+                return False, [
+                    (len(other[0]) + 1, len(other[0]) + 1, "", "")
+                    for other in self.insertions
+                ]
+            for r, f in enumerate(orbit):
+                if repeats[f] is not None:
+                    break  # a periodic insertion: the orbit repeats
+                lo = 1
+                while orbit[(r + lo) % m] > f:
+                    lo += 1
+                hi = 1
+                while hi <= m and orbit[r - hi] >= f:
+                    hi += 1
+                anti = self.insertions[f][1]
+                before = ins[r - 1] if orbit[r - 1] <= f else ""
+                after = ins[r] if orbit[(r + 1) % m] < f else ""
+                repeats[f] = (
+                    lo,
+                    hi,
+                    before + anti[0] if lo == 1 else before,
+                    after + anti[-1] if hi == 1 else after,
+                )
+        return True, repeats
+
     def moves(self, s: str, cap: int) -> Iterable[Tuple[str, Tuple, int]]:
-        """Every search edge (t, insertion, p) out of the reduced state s with
+        """The search edges (t, insertion, p) out of the reduced state s with
         len(t) <= cap, where t = reduce(s[:p] + full + s[p:]) for the
         insertion's unreduced conjugate ``full``; insertions in order, then
-        positions ascending.
+        positions ascending.  An edge is skipped when an earlier edge, of a
+        rotation of its insertion, yields the same t (``_repeats``).  So the
+        edges yielded are a subsequence of all of them that holds the first
+        edge to every successor: ``_Ball.grow``, ``find_filling`` and
+        ``edge_moves``, which keep first occurrences, see the same edges.
 
         By confluence only the junctions cancel (and, when the insertion
         cancels completely, the halves of s), so len(t) is measured before t
@@ -243,16 +302,23 @@ class _Coder:
         for e in sorted(plan):
             entry = self.insertions[e]
             ins, anti = entry[0], entry[1]
+            lo, hi, before, after = self.repeats[e]
             m = len(ins)
             for p in plan[e]:
+                if p and s[p - 1] in before or p < n and s[p] in after:
+                    continue
                 i, j = p, 0
                 while i and j < m and s[i - 1] == anti[j]:
                     i -= 1
                     j += 1
+                if j >= lo:
+                    continue
                 k, j2 = p, m
                 while k < n and j2 > j and s[k] == anti[j2 - 1]:
                     k += 1
                     j2 -= 1
+                if k - p >= hi:
+                    continue
                 if j2 > j:
                     if n + m - 2 * (k - i) <= cap:
                         yield s[:i] + ins[j:j2] + s[k:], entry, p
@@ -607,7 +673,9 @@ def find_filling(
 ) -> AreaResult:
     """Greedy (length-first) search for some filling of w, not necessarily of
     minimal area; useful when only null-homotopy needs certifying.  As in
-    area_exact, a reduced word longer than the cap exhausts the budget."""
+    area_exact, a reduced word longer than the cap exhausts the budget.  No
+    path runs deeper than the budget's ``max_area``; a search cut there
+    that finds no filling exhausts the budget."""
     import heapq
 
     pres.check_word(w)
@@ -624,10 +692,14 @@ def find_filling(
     dist = {start: 0}
     parent: Dict[str, str] = {}
     heap = [(len(start), 0, start)]
+    cut = False
     while heap:
         if clock.expired():
             return AreaResult("budget-exhausted", lower_bound=1, states=len(dist))
         _, d, s = heapq.heappop(heap)
+        if d == budget.max_area:
+            cut = True
+            continue
         for t, _, _ in coder.moves(s, cap):
             if t in dist:
                 continue
@@ -639,6 +711,8 @@ def find_filling(
             if len(dist) > budget.max_states:
                 return AreaResult("budget-exhausted", lower_bound=1, states=len(dist))
             heapq.heappush(heap, (len(t), d + 1, t))
+    if cut:
+        return AreaResult("budget-exhausted", lower_bound=1, states=len(dist))
     return AreaResult("not-null-homotopic", states=len(dist))
 
 
