@@ -14,6 +14,7 @@ import itertools
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .constructors import IndexedRelator
@@ -124,22 +125,26 @@ class FlagComplex:
     def diameter(self) -> int:
         best = 0
         for v in self.vertices:
-            dist = self._bfs(v)
-            if len(dist) != len(self.vertices):
-                raise ValueError("the one-skeleton must be connected")
+            dist: Dict[str, int] = {}
+            for u, p in self._bfs(v).items():
+                dist[u] = 0 if p is None else dist[p] + 1
             best = max(best, max(dist.values()))
         return best
 
-    def _bfs(self, start: str) -> Dict[str, int]:
-        dist = {start: 0}
+    def _bfs(self, start: str) -> Dict[str, Optional[str]]:
+        """Each vertex's parent in the breadth-first walk from start, with
+        sorted neighbours, in the order the walk reaches the vertices."""
+        parent: Dict[str, Optional[str]] = {start: None}
         queue = deque([start])
         while queue:
             u = queue.popleft()
             for v in sorted(self.adjacency[u]):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
+                if v not in parent:
+                    parent[v] = u
                     queue.append(v)
-        return dist
+        if len(parent) != len(self.vertices):
+            raise ValueError("the one-skeleton must be connected")
+        return parent
 
     def __repr__(self):
         return (
@@ -247,16 +252,7 @@ class SpanningTree:
 
     def __init__(self, delta: FlagComplex):
         self.delta = delta
-        self.parent: Dict[str, Optional[str]] = {delta.base: None}
-        queue = deque([delta.base])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(delta.adjacency[u]):
-                if v not in self.parent:
-                    self.parent[v] = u
-                    queue.append(v)
-        if len(self.parent) != len(delta.vertices):
-            raise ValueError("the one-skeleton must be connected")
+        self.parent = delta._bfs(delta.base)
 
     def path(self, u: str, v: str) -> List[Edge]:
         """Directed edges of the unique reduced tree path from u to v."""
@@ -321,25 +317,12 @@ def bb_indexed_families(
     delta: FlagComplex, tree: SpanningTree, index_bound: int
 ) -> List[IndexedRelator]:
     """All members of the shifted relator family and the shift-mismatch
-    family with index at most the bound."""
-    if index_bound < 0:
-        raise ValueError("index bound must be nonnegative")
-    pres = dicks_leary_presentation(delta)
-    members: List[IndexedRelator] = []
-    for n in range(-index_bound, index_bound + 1):
-        for ridx, rel in enumerate(pres.relators):
-            image = bb_phi(delta, tree, n, rel)
-            members.append(IndexedRelator(image, abs(n), "base", (ridx, n)))
-        for e in delta.directed_edges():
-            gen = delta.edge_letter(e).gen
-            target = concat(
-                bb_phi(delta, tree, n + 1, Word((delta.edge_letter(e),))),
-                bb_phi(
-                    delta, tree, n, edge_conjugation_word(delta, tree, e)
-                ).inverse(),
-            )
-            members.append(IndexedRelator(target, abs(n), "stable", (gen, n)))
-    return IndexedRelator.minimal(members)
+    family with index at most the bound: ``IndexedRelator.families`` with
+    ``bb_phi`` as the shift and the edges' conjugation words."""
+    words = {delta.edge_letter(e).gen: edge_conjugation_word(delta, tree, e)
+             for e in delta.directed_edges()}
+    return IndexedRelator.families(dicks_leary_presentation(delta).relators, words,
+                                   lambda w, n: bb_phi(delta, tree, n, w), index_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +506,7 @@ class BBModel:
             self._homotopies[cycle] = find_null_homotopy(self.delta, cycle)
         return self._homotopies[cycle]
 
-    @property
+    @cached_property
     def K(self) -> int:
         """Three times the largest per-edge null-homotopy length."""
         return 3 * max(
@@ -531,7 +514,7 @@ class BBModel:
             for e in self.delta.directed_edges()
         )
 
-    @property
+    @cached_property
     def L(self) -> int:
         return self.delta.diameter()
 
@@ -673,6 +656,17 @@ class BBModel:
             editor.apply_subsequence(pos + abs(k), null_rot)
 
 
+def _model_for(delta: FlagComplex, tree: SpanningTree,
+               model: Optional[BBModel]) -> BBModel:
+    """A new model, or the given one if it holds delta and tree, which the
+    emitters read from the model."""
+    if model is None:
+        return BBModel(delta, tree)
+    if model.delta is not delta or model.tree is not tree:
+        raise ValueError("the model was built for another complex or tree")
+    return model
+
+
 def scheme_bound(model: BBModel, kind: str, n: int) -> int:
     """The stated area bound of each emitted scheme."""
     m = abs(n)
@@ -691,7 +685,7 @@ def bb_relator_scheme(delta: FlagComplex, tree: SpanningTree, kind: str, args,
     """Emit a replayable null sequence for one indexed-family member: kinds
     "e-ebar" and "stable" take a directed edge, "efg" and "inverse-efg" a
     triangle cycle; the measured area stays within scheme_bound(kind, n)."""
-    model = model or BBModel(delta, tree)
+    model = _model_for(delta, tree, model)
     if kind == "e-ebar":
         return _scheme_edge_pair(model, tuple(args), n)
     if kind == "efg":
@@ -795,7 +789,7 @@ def null_homotopy_to_sequence(
     final = replay_null_homotopy(delta, nh)
     if final:
         raise ValueError("the homotopy does not end at the empty cycle")
-    model = model or BBModel(delta, tree)
+    model = _model_for(delta, tree, model)
     editor = WordEditor(model.pres, model.power_word(nh.start, n))
     model.fill_cycle_power(editor, 0, nh, n)
     editor.free_to(EMPTY)

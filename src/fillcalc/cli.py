@@ -35,7 +35,8 @@ from .oracle import (
     dehn_sample,
     distortion_sample,
 )
-from .pulldown import compose_bounds, flatten_word, parse_bound, phi, standard_context
+from .pulldown import (BOUND_INPUTS, compose_bounds, flatten_word, parse_bound, phi,
+                       standard_context)
 from .rewriting import InternalCheckError, verify_scheme
 from .words import free_reduce, word
 
@@ -150,6 +151,11 @@ def _cmd_flatten(args, report) -> int:
     return EXIT_PASS
 
 
+def _members(members) -> dict:
+    return {"members": [{"word": str(m.word), "index": m.index, "family": m.family}
+                        for m in members]}
+
+
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
@@ -191,12 +197,7 @@ def _cmd_construct(args, report) -> int:
         else:
             data = k32_pnf_data()
         members = cyclic_infinite_presentation(data, opts["index_bound"])
-        report["verdicts"] = {
-            "members": [
-                {"word": str(m.word), "index": m.index, "family": m.family}
-                for m in members
-            ]
-        }
+        report["verdicts"] = _members(members)
     else:  # fiber
         inputs = fileio.load_fiber_inputs(_load_json(opts["spec"]))
         out = fiber_presentation(inputs)
@@ -217,12 +218,7 @@ def _cmd_bb(args, report) -> int:
         report["verdicts"] = fileio.dump_presentation(pres)
     elif args.action == "families":
         members = bb.bb_indexed_families(delta, tree, args.index_bound)
-        report["verdicts"] = {
-            "members": [
-                {"word": str(m.word), "index": m.index, "family": m.family}
-                for m in members
-            ]
-        }
+        report["verdicts"] = _members(members)
     else:  # rarea
         rows = bb.rarea_sample(delta, tree, args.index_bound)
         report["verdicts"] = {"table": rows}
@@ -259,19 +255,13 @@ def _cmd_depth(args, report) -> int:
     return EXIT_PASS
 
 
-# the bound flags each kind takes, in compose_bounds order
-_BOUND_FLAGS = {
-    "area-radius": ("alpha", "rho"),
-    "penetration": ("alpha", "pi", "rarea"),
-    "split": ("beta1", "beta2"),
-    "split-distortion": ("beta1", "distortion", "beta2"),
-}
-_BOUND_INPUTS = tuple(dict.fromkeys(f for fs in _BOUND_FLAGS.values() for f in fs))
+# every flag that some bound kind takes
+_BOUND_INPUT_FLAGS = tuple(dict.fromkeys(f for fs in BOUND_INPUTS.values() for f in fs))
 
 
 def _cmd_bounds(args, report) -> int:
-    wanted = _BOUND_FLAGS[args.kind]
-    if {f for f in _BOUND_INPUTS if getattr(args, f) is not None} != set(wanted):
+    wanted = BOUND_INPUTS[args.kind]
+    if {f for f in _BOUND_INPUT_FLAGS if getattr(args, f) is not None} != set(wanted):
         raise ValueError(f"--kind {args.kind} takes exactly "
                          + ", ".join(map(_flag, wanted)))
     if args.r is not None and args.kind != "area-radius":
@@ -378,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds")
     p.set_defaults(run=_cmd_bounds)
-    p.add_argument("--kind", required=True, choices=tuple(_BOUND_FLAGS))
-    for flag in _BOUND_INPUTS:
+    p.add_argument("--kind", required=True, choices=tuple(BOUND_INPUTS))
+    for flag in _BOUND_INPUT_FLAGS:
         p.add_argument(f"--{flag}")
     p.add_argument("--r", type=int, help="area-radius only (default 1)")
 

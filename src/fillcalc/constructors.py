@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import intlinalg
 from .intlinalg import NotSurjectiveError  # re-exported: raised by adapt_basis
@@ -327,6 +327,29 @@ class IndexedRelator:
                 best[ir.word] = ir
         return sorted(best.values(), key=lambda ir: (ir.index, str(ir.word)))
 
+    @staticmethod
+    def families(
+        relators: Sequence[Word],
+        conjugation_words: Mapping[str, Word],
+        shift: Callable[[Word, int], Word],
+        index_bound: int,
+    ) -> List["IndexedRelator"]:
+        """The two relator families of a cyclic extension for |k| up to the
+        bound, as ``minimal`` keeps them: each relator shifted k times, and
+        for each generator g with conjugation word w_g, in the mapping's
+        order, the shift mismatch shift(g, k + 1) shift(w_g, k)^-1."""
+        if index_bound < 0:
+            raise ValueError("index bound must be nonnegative")
+        members: List[IndexedRelator] = []
+        for k in range(-index_bound, index_bound + 1):
+            for ridx, rel in enumerate(relators):
+                members.append(IndexedRelator(shift(rel, k), abs(k), "base", (ridx, k)))
+            for gen, w in conjugation_words.items():
+                g = Word((Letter(gen, 1),))
+                target = concat(shift(g, k + 1), shift(w, k).inverse())
+                members.append(IndexedRelator(target, abs(k), "stable", (gen, k)))
+        return IndexedRelator.minimal(members)
+
 
 def cyclic_infinite_presentation(
     data: PositiveNormalFormData, index_bound: int
@@ -337,24 +360,12 @@ def cyclic_infinite_presentation(
     The families are the shifted base relators and the one-step shift
     mismatches; negative shifts require the negative conjugation words.
     """
-    if index_bound < 0:
-        raise ValueError("index bound must be nonnegative")
     if index_bound >= 1 and data.w_minus is None:
         raise MissingChoiceWordsError(
             "negative indices need the negative conjugation words"
         )
-    members: List[IndexedRelator] = []
-    lo = -index_bound if data.w_minus is not None else 0
-    for k in range(lo, index_bound + 1):
-        for ridx, rel in enumerate(data.base.relators):
-            shifted = data.shift(rel, k)
-            members.append(IndexedRelator(shifted, abs(k), "base", (ridx, k)))
-        for gen in data.base.generators:
-            target = concat(
-                data.shift(word(gen), k + 1), data.shift(data.w_plus[gen], k).inverse()
-            )
-            members.append(IndexedRelator(target, abs(k), "stable", (gen, k)))
-    return IndexedRelator.minimal(members)
+    w_plus = {gen: data.w_plus[gen] for gen in data.base.generators}
+    return IndexedRelator.families(data.base.relators, w_plus, data.shift, index_bound)
 
 
 # ---------------------------------------------------------------------------

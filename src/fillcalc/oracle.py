@@ -545,6 +545,25 @@ class _Ball:
         ends.append(len(level))
 
 
+def _search_start(
+    pres: GroupPresentation, w: Word, budget: SearchBudget
+) -> AreaResult | Tuple[_Coder, int, str]:
+    """The verdict an exact search returns without searching (w reduces to
+    the empty word, is longer than the cap, or is off the relator lattice),
+    or else the search tables, the length cap and w's reduced code."""
+    pres.check_word(w)
+    coder = _coder(pres)
+    cap = budget.length_cap(w, pres)
+    start = coder.reduce(coder.encode(w))
+    if start == "":
+        return AreaResult("area", 0, DerivationSequence(w, contraction_moves(w)), 0, 1)
+    if len(start) > cap:
+        return AreaResult("budget-exhausted", lower_bound=1, states=0)
+    if not intlinalg.in_lattice(coder.basis, coder.abelian_vector(start)):
+        return AreaResult("not-null-homotopic", states=0)
+    return coder, cap, start
+
+
 def area_exact(
     pres: GroupPresentation, w: Word, budget: SearchBudget = DEFAULT_BUDGET
 ) -> AreaResult:
@@ -572,20 +591,11 @@ def _area(
     of the level could still find a smaller meet; only then does it expand
     the rest of the level.  The result is the one the whole level gives,
     except for ``states``."""
-    pres.check_word(w)
-    coder = _coder(pres)
     clock = _Clock(budget)
-    cap = budget.length_cap(w, pres)
-    start = coder.reduce(coder.encode(w))
-    if start == "":
-        return AreaResult("area", 0, DerivationSequence(w, contraction_moves(w)), 0, 1)
-    if len(start) > cap:
-        return AreaResult("budget-exhausted", lower_bound=1, states=0)
-    # quick necessary condition: the abelianized word must lie in the
-    # relator lattice
-    if not intlinalg.in_lattice(coder.basis, coder.abelian_vector(start)):
-        return AreaResult("not-null-homotopic", states=0)
-
+    found = _search_start(pres, w, budget)
+    if isinstance(found, AreaResult):
+        return found
+    coder, cap, start = found
     empty = balls.get(cap)
     if empty is None:
         empty = balls[cap] = _Ball(coder, cap, "")
@@ -678,17 +688,11 @@ def find_filling(
     that finds no filling exhausts the budget."""
     import heapq
 
-    pres.check_word(w)
-    coder = _coder(pres)
     clock = _Clock(budget)
-    cap = budget.length_cap(w, pres)
-    start = coder.reduce(coder.encode(w))
-    if start == "":
-        return AreaResult("area", 0, DerivationSequence(w, contraction_moves(w)), 0, 1)
-    if len(start) > cap:
-        return AreaResult("budget-exhausted", lower_bound=1, states=0)
-    if not intlinalg.in_lattice(coder.basis, coder.abelian_vector(start)):
-        return AreaResult("not-null-homotopic", states=0)
+    found = _search_start(pres, w, budget)
+    if isinstance(found, AreaResult):
+        return found
+    coder, cap, start = found
     dist = {start: 0}
     parent: Dict[str, str] = {}
     heap = [(len(start), 0, start)]
@@ -756,7 +760,8 @@ def _cyclic_key(s: str, inv: Mapping[str, str]) -> str:
 
 def _reduced_words(coder: _Coder, length: int) -> Iterable[Tuple[str, int]]:
     """Every nonempty freely reduced encoded word of length <= ``length``,
-    depth first: a word, then each one-letter extension in code order.
+    depth first: a word, then each one-letter extension in code order, so
+    the words of one length come in lexicographic code order.
 
     Each word comes with its abelian vector packed into one integer, kept
     per prefix: digit g, in balanced base 2 * length + 1, is the exponent
@@ -798,8 +803,7 @@ def dehn_sample(
     best = 0
     best_witness: Word = EMPTY
     clock = _Clock(budget)
-    # the classes enumerated, and the images of the searched ones
-    seen = set()
+    # the images of the searched classes
     decided = set()
     lattice: Dict[int, bool] = {}
     balls: Dict[int, _Ball] = {}
@@ -821,11 +825,12 @@ def dehn_sample(
         if not ok:
             off_lattice += 1
             continue
+        # a class's words all pass the filters above and have one length,
+        # so the first of them enumerated is its key
         key = _cyclic_key(s, inv)
-        if key in seen:
+        if key != s:
             duplicates += 1
             continue
-        seen.add(key)
         if key in decided:
             symmetric += 1
             continue

@@ -59,6 +59,7 @@ __all__ = [
     "base_filling",
     "BoundExpr",
     "parse_bound",
+    "BOUND_INPUTS",
     "compose_bounds",
 ]
 
@@ -85,11 +86,12 @@ class PulldownContext:
     generators have zero charge.  The distinguished letters of the first
     three factors drive the pulling-down formulas.
 
-    A context is read-only after construction.  Its two tables, keyed by
-    (direction, letter, level), are filled on first use and shared by every
-    later call: each letter's pulled-down letters with its charge step (see
-    ``phi``), and each letter's conversion sequence (see
-    ``conjugation_scheme``)."""
+    A context is read-only after construction.  Its three tables are filled
+    on first use and shared by every later call: keyed by (direction,
+    letter, level), each letter's pulled-down letters with its charge step
+    (``phi``) and its conversion sequence (``conjugation_scheme``); keyed by
+    (direction, relator, sign, height), each relator filling's expression
+    (``pulldown_expression``)."""
 
     def __init__(self, spec: DirectProductSpec):
         if spec.theta is None:
@@ -116,6 +118,7 @@ class PulldownContext:
         self._pres = spec.presentation()
         self._pulled: Dict[Tuple[int, Letter, int], Tuple[Tuple[Letter, ...], int]] = {}
         self._conversions: Dict[Tuple[int, Letter, int], DerivationSequence] = {}
+        self._fills: Dict[Tuple[int, int, int, int], FillingExpression] = {}
 
     @property
     def presentation(self) -> GroupPresentation:
@@ -484,16 +487,15 @@ def pulldown_expression(
     sigma = conjugation_scheme(ctx, k, w, 0)
     correction = sequence_to_expression(pres, reverse_sequence(pres, sigma))
     terms: List[Tuple[Word, int, int]] = []
-    # a term's refilling depends only on (relator, sign, height)
-    parts: Dict[Tuple[int, int, int], FillingExpression] = {}
+    fills = ctx._fills
     for conj, rel, sign in expr.terms:
         h = ctx.charge_k(conj, k)
-        part = parts.get((rel, sign, h))
+        part = fills.get((k, rel, sign, h))
         if part is None:
             base = pres.relators[rel]
             signed = base if sign > 0 else base.inverse()
             fill, _ = relator_filling(ctx, k, signed, h)
-            part = parts[rel, sign, h] = sequence_to_expression(pres, fill)
+            part = fills[k, rel, sign, h] = sequence_to_expression(pres, fill)
         prefix = phi(ctx, k, conj, 0)
         for u, r2, s2 in part.terms:
             terms.append((concat(prefix, u), r2, s2))
@@ -593,30 +595,22 @@ class BoundExpr:
     def __hash__(self):
         return hash(tuple(sorted(self.coeffs.items())))
 
-    def canonical(self) -> str:
-        """The leading monomial, the representative of the growth class."""
-        if not self.coeffs:
-            return "0"
-        e = max(self.coeffs)
-        c = self.coeffs[e]
+    @staticmethod
+    def _monomial(e: int, c: int) -> str:
         if e == 0:
             return str(c)
         base = "l" if e == 1 else f"l^{e}"
         return base if c == 1 else f"{c}*{base}"
 
-    def __repr__(self) -> str:
+    def canonical(self) -> str:
+        """The leading monomial, the representative of the growth class."""
         if not self.coeffs:
             return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append("l" if c == 1 else f"{c}*l")
-            else:
-                parts.append(f"l^{e}" if c == 1 else f"{c}*l^{e}")
-        return " + ".join(parts)
+        return self._monomial(*max(self.coeffs.items()))
+
+    def __repr__(self) -> str:
+        terms = sorted(self.coeffs.items(), reverse=True)
+        return " + ".join(self._monomial(e, c) for e, c in terms) or "0"
 
 
 _TOKEN = re.compile(r"\s*(\d+|l|max|[()+*^@,])")
@@ -697,33 +691,37 @@ def parse_bound(text: str) -> BoundExpr:
     return result
 
 
-def compose_bounds(kind: str, *inputs: BoundExpr, r: Optional[int] = None) -> BoundExpr:
-    """Assemble the composite isoperimetric bounds.
+# the inputs each bound kind composes, in order
+BOUND_INPUTS: Dict[str, Tuple[str, ...]] = {
+    "area-radius": ("alpha", "rho"),
+    "penetration": ("alpha", "pi", "rarea"),
+    "split": ("beta1", "beta2"),
+    "split-distortion": ("beta1", "distortion", "beta2"),
+}
 
-    kinds: "penetration" (alpha, pi, rarea) -> alpha * rarea(pi);
-    "area-radius" (alpha, rho; r) -> rho^(2r) * alpha;
-    "split" (beta1, beta2) -> l*beta1(l^2) + beta2;
-    "split-distortion" (beta1, distortion, beta2) -> l*beta1(distortion) + beta2.
+
+def compose_bounds(kind: str, *inputs: BoundExpr, r: Optional[int] = None) -> BoundExpr:
+    """Assemble the composite isoperimetric bounds from the inputs that
+    ``BOUND_INPUTS`` names for the kind, in that order.
+
+    kinds: "penetration" -> alpha * rarea(pi);
+    "area-radius" (and r) -> rho^(2r) * alpha;
+    "split" -> l*beta1(l^2) + beta2;
+    "split-distortion" -> l*beta1(distortion) + beta2.
     """
+    names = BOUND_INPUTS.get(kind)
+    if names is None:
+        raise ValueError(f"unknown bound kind {kind!r}")
+    needs_r = kind == "area-radius"
+    if len(inputs) != len(names) or (needs_r and r is None):
+        raise ValueError(f"{kind} needs ({', '.join(names)})"
+                         + (" and r" if needs_r else ""))
+    b = dict(zip(names, inputs))
     l = BoundExpr.var()
     if kind == "penetration":
-        if len(inputs) != 3:
-            raise ValueError("penetration needs (alpha, pi, rarea)")
-        alpha, pi, rarea = inputs
-        return alpha * rarea.compose(pi)
+        return b["alpha"] * b["rarea"].compose(b["pi"])
     if kind == "area-radius":
-        if len(inputs) != 2 or r is None:
-            raise ValueError("area-radius needs (alpha, rho) and r")
-        alpha, rho = inputs
-        return (rho ** (2 * r)) * alpha
+        return (b["rho"] ** (2 * r)) * b["alpha"]
     if kind == "split":
-        if len(inputs) != 2:
-            raise ValueError("split needs (beta1, beta2)")
-        beta1, beta2 = inputs
-        return l * beta1.compose(l * l) + beta2
-    if kind == "split-distortion":
-        if len(inputs) != 3:
-            raise ValueError("split-distortion needs (beta1, distortion, beta2)")
-        beta1, dist, beta2 = inputs
-        return l * beta1.compose(dist) + beta2
-    raise ValueError(f"unknown bound kind {kind!r}")
+        return l * b["beta1"].compose(l * l) + b["beta2"]
+    return l * b["beta1"].compose(b["distortion"]) + b["beta2"]

@@ -431,3 +431,41 @@ def test_one_expand_needs_an_edge_of_the_complex():
     ))
     with pytest.raises(ValueError, match="^move 0: "):
         replay_null_homotopy(K3, nh)
+
+
+def test_scheme_bounds_compute_k_and_l_once(monkeypatch):
+    diameters, cycles = [], []
+    diameter, edge_cycle = FlagComplex.diameter, BBModel.edge_cycle
+
+    def counting_diameter(self):
+        diameters.append(self)
+        return diameter(self)
+
+    def counting_cycle(self, e):
+        cycles.append(e)
+        return edge_cycle(self, e)
+
+    monkeypatch.setattr(FlagComplex, "diameter", counting_diameter)
+    monkeypatch.setattr(BBModel, "edge_cycle", counting_cycle)
+    model = BBModel(K3, K3_TREE)
+    assert scheme_bound(model, "stable", 2) == scheme_bound(model, "stable", 2) == 50
+    assert len(diameters) == 1
+    assert len(cycles) == len(K3.directed_edges())
+
+
+def test_emitters_reject_a_model_of_another_complex_or_tree():
+    from fillcalc.bestvina_brady import null_homotopy_to_sequence
+
+    k3_at_b = FlagComplex("abc", [("a", "b"), ("b", "c"), ("a", "c")], "b")
+    tree_at_b = spanning_tree(k3_at_b)
+    model = BBModel(K3, K3_TREE)
+    for delta, tree in ((k3_at_b, tree_at_b), (K3, spanning_tree(K3))):
+        with pytest.raises(ValueError, match="another complex or tree"):
+            bb_relator_scheme(delta, tree, "e-ebar", ("a", "c"), 1, model)
+        cycle = BBModel(delta, tree).edge_cycle(("a", "c"))
+        nh = find_null_homotopy(delta, cycle)
+        with pytest.raises(ValueError, match="another complex or tree"):
+            null_homotopy_to_sequence(delta, tree, nh, 1, model)
+    # without a model the emitter fills the member it was asked for
+    seq = bb_relator_scheme(k3_at_b, tree_at_b, "e-ebar", ("a", "c"), 1)
+    assert seq.start == word("b_a a_c a_c c_b b_c c_a c_a a_b")

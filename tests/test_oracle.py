@@ -308,6 +308,20 @@ def test_find_filling_of_a_word_over_the_cap_exhausts_the_budget():
     assert find_filling(Z2, w, budget) == want
 
 
+@pytest.mark.parametrize("w, budget, kind, lower_bound, states", [
+    (word("x y x' x y' x'"), SearchBudget(), "area", 0, 1),
+    (commutator(wpow(word("x"), 3), wpow(word("y"), 3)), SearchBudget(max_word_length=4),
+     "budget-exhausted", 1, 0),
+    (word("x y x y'"), SearchBudget(), "not-null-homotopic", 0, 0),
+], ids=["reduces-to-empty", "over-the-cap", "off-the-lattice"])
+def test_searches_agree_where_they_do_not_search(w, budget, kind, lower_bound, states):
+    """area_exact and find_filling share the verdicts given before a search."""
+    for search in (area_exact, find_filling):
+        res = search(Z2, w, budget)
+        assert (res.kind, res.lower_bound, res.states) == (kind, lower_bound, states)
+    assert area_exact(Z2, w, budget) == find_filling(Z2, w, budget)
+
+
 def test_find_filling_keeps_to_max_area():
     """[x^2, y^2] has area 4, so no filling has area at most 1."""
     w = commutator(wpow(word("x"), 2), wpow(word("y"), 2))
@@ -744,19 +758,37 @@ def test_dehn_sweep_under_a_state_budget(monkeypatch, max_states):
         assert (got.value, got.witness) == (3, word("x y z x' y' z'"))
 
 
-def test_dehn_sweep_searches_one_class_per_orbit():
+def test_dehn_sweep_searches_one_class_per_orbit(monkeypatch):
     """The three benchmark sweeps: their values, witnesses and counts, with
-    the classes searched."""
-    for pres, length, value, witness, checked, searched in [
-        (Z2, 10, 6, "x x x y y x' x' x' y' y'", 93, 24),
-        (SWEPT["K3"], 4, 4, "a_b a_c a_b' a_c'", 100, 15),
-        (Z3, 6, 3, "x y z x' y' z'", 25, 4),
+    the classes searched, each through its key (the first word of its class
+    that the sweep enumerates); the stats read enumerated / not cyclically
+    reduced / off lattice / cyclic duplicates / symmetric / searched."""
+    searched = []
+    area = oracle._area
+
+    def recording(pres, w, budget, balls):
+        searched.append(w)
+        return area(pres, w, budget, balls)
+
+    monkeypatch.setattr(oracle, "_area", recording)
+    for pres, length, value, witness, checked, stats in [
+        (Z2, 10, 6, "x x x y y x' x' x' y' y'", 93, (118096, 29504, 86824, 1675, 69, 24)),
+        (SWEPT["K3"], 4, 4, "a_b a_c a_b' a_c'", 100, (17568, 1440, 15384, 644, 85, 15)),
+        (Z3, 6, 3, "x y z x' y' z'", 25, (23436, 3888, 19260, 263, 21, 4)),
     ]:
+        searched.clear()
         res = dehn_sample(pres, length)
         assert (res.kind, res.value, res.witness, res.words_checked) == (
             "value", value, word(witness), checked
         )
-        assert (res.stats.searched, res.stats.symmetric) == (searched, checked - searched)
+        got = res.stats
+        assert (got.enumerated, got.not_cyclically_reduced, got.off_lattice,
+                got.cyclic_duplicates, got.symmetric, got.searched) == stats
+        assert got.searched + got.symmetric == checked
+        coder = oracle._coder(pres)
+        codes = [coder.encode(w) for w in searched]
+        assert codes == [oracle._cyclic_key(s, coder.inv) for s in codes]
+        assert len(codes) == got.searched
 
 
 def signed_permutations(n):

@@ -291,19 +291,20 @@ def reference_pulldown_expression(ctx, k, expr, w):
     return FillingExpression(terms)
 
 
-def test_pulldown_expression_fills_a_repeated_key_once(monkeypatch):
-    # keys (relator, sign, height): (0, 1, 1) three times, (4, -1, 0) twice
-    expr = FillingExpression(
-        (
-            (word("e1_2"), 0, 1),
-            (EMPTY, 4, -1),
-            (word("e1_3"), 0, 1),
-            (word("e2_2 e1_1"), 0, 1),
-            (word("e2_2"), 4, -1),
-        )
+# keys (relator, sign, height): (0, 1, 1) three times, (4, -1, 0) twice
+REPEATED_KEYS = FillingExpression(
+    (
+        (word("e1_2"), 0, 1),
+        (EMPTY, 4, -1),
+        (word("e1_3"), 0, 1),
+        (word("e2_2 e1_1"), 0, 1),
+        (word("e2_2"), 4, -1),
     )
-    w = free_reduce(expr.boundary(CTX1.presentation))
-    expected = reference_pulldown_expression(CTX1, 1, expr, w)
+)
+
+
+def counted_fills(monkeypatch):
+    """Record every relator_filling call from here on."""
     fills = []
     original = pulldown.relator_filling
 
@@ -312,11 +313,29 @@ def test_pulldown_expression_fills_a_repeated_key_once(monkeypatch):
         return original(ctx, k, s, h)
 
     monkeypatch.setattr(pulldown, "relator_filling", counting)
-    out = pulldown_expression(CTX1, 1, expr, w)
+    return fills
+
+
+def test_pulldown_expression_fills_a_repeated_key_once(monkeypatch):
+    # a fresh context: the shared ones may hold fills from earlier tests
+    ctx = standard_context(3, 2, 1)
+    w = free_reduce(REPEATED_KEYS.boundary(ctx.presentation))
+    expected = reference_pulldown_expression(ctx, 1, REPEATED_KEYS, w)
+    fills = counted_fills(monkeypatch)
+    out = pulldown_expression(ctx, 1, REPEATED_KEYS, w)
     assert out == expected
-    validate_expression(CTX1.presentation, out, w)
+    validate_expression(ctx.presentation, out, w)
     # one fill per key; the inverse relator's fill also fills its inverse
     assert len(fills) == 3
+
+
+def test_a_context_keeps_its_relator_fills_across_calls(monkeypatch):
+    ctx = standard_context(3, 2, 1)
+    w = free_reduce(REPEATED_KEYS.boundary(ctx.presentation))
+    first = pulldown_expression(ctx, 1, REPEATED_KEYS, w)
+    fills = counted_fills(monkeypatch)
+    assert pulldown_expression(ctx, 1, REPEATED_KEYS, w) == first
+    assert fills == []
 
 
 @pytest.mark.parametrize("ctx", [CTX1, CTX2])
