@@ -350,7 +350,7 @@ def check_bb_complexes() -> str:
         for member in bb.bb_indexed_families(delta, tree, 2):
             if not raag_equal(delta, bb.edge_embedding(delta, member.word), EMPTY):
                 raise _Failed(f"family member survives: {member.word}")
-        rows = bb.rarea_sample(delta, tree, 2)
+        rows = bb.rarea_sample(delta, tree, 2, model=model)
         for row in rows:
             if row["upper"] > row["bound"]:
                 raise _Failed(f"{row['kind']} index {row['index']}: "

@@ -49,6 +49,7 @@ __all__ = [
     "null_homotopy_to_sequence",
     "bb_relator_scheme",
     "scheme_bound",
+    "member_scheme",
     "rarea_sample",
     "triangle_complex",
     "octahedron_complex",
@@ -319,9 +320,15 @@ def bb_indexed_families(
     """All members of the shifted relator family and the shift-mismatch
     family with index at most the bound: ``IndexedRelator.families`` with
     ``bb_phi`` as the shift and the edges' conjugation words."""
+    return _families(delta, tree, dicks_leary_presentation(delta), index_bound)
+
+
+def _families(delta: FlagComplex, tree: SpanningTree, pres: GroupPresentation,
+              index_bound: int) -> List[IndexedRelator]:
+    """``bb_indexed_families`` over delta's presentation pres, built once."""
     words = {delta.edge_letter(e).gen: edge_conjugation_word(delta, tree, e)
              for e in delta.directed_edges()}
-    return IndexedRelator.families(dicks_leary_presentation(delta).relators, words,
+    return IndexedRelator.families(pres.relators, words,
                                    lambda w, n: bb_phi(delta, tree, n, w), index_bound)
 
 
@@ -534,18 +541,21 @@ class BBModel:
             )
             if res.kind != "area":
                 raise ValueError(f"letters {a} and {b} have no small commutator fill")
-            self._swap_fills[key] = res.witness
+            # applied once here, so that every swap splices it by its record
+            sub = WordEditor(self.pres, res.witness.start)
+            sub.apply_subsequence(0, res.witness)
+            self._swap_fills[key] = sub.sequence()
         return self._swap_fills[key]
 
     def swap(self, editor: WordEditor, pos: int) -> None:
         """Transpose editor letters at pos, pos+1 by splicing a minimal
         commutator filling (two relator moves for triangle letters)."""
-        a, b = editor.word[pos], editor.word[pos + 1]
+        a, b = editor.letters[pos], editor.letters[pos + 1]
         if a.gen == b.gen:
             editor.swap(pos)
             return
         fill = self._commutator_fill(a, b)
-        editor.insert_cancelling(pos + 2, Word((b, a)).inverse())
+        editor.insert_cancelling(pos + 2, Word._of((a.inverse(), b.inverse())))
         editor.apply_subsequence(pos, fill)
 
     def sort_block_pairs(self, editor: WordEditor, pos: int, count: int,
@@ -559,10 +569,10 @@ class BBModel:
     def collapse_pair_power(self, editor: WordEditor, pos: int, k: int) -> None:
         """Remove a^k abar^k at pos (2|k| letters), one relator per layer."""
         m = abs(k)
+        letters = editor.letters
         for i in range(m):
-            a = editor.word[pos + m - 1 - i]
-            b = editor.word[pos + m - i]
-            editor.relator(pos + m - 1 - i, Word((a, b)), EMPTY)
+            at = pos + m - 1 - i
+            editor.relator(at, Word._of((letters[at], letters[at + 1])), EMPTY)
 
     def collapse_mutual_paths(self, editor: WordEditor, pos: int, depth: int,
                               k: int) -> None:
@@ -586,8 +596,8 @@ class BBModel:
         for i in range(m):
             editor.relator(pos + 2 * m + 2 * i, Word((z,)), replacement)
         self.sort_block_pairs(editor, pos + 2 * m, m, y.inverse())
-        keep = editor.word.letters[:pos] + editor.word.letters[pos + 4 * m :]
-        editor.free_to(Word(keep))
+        letters = editor.letters
+        editor.free_to(Word._of(tuple(letters[:pos] + letters[pos + 4 * m :])))
 
     def insert_triangle_power(self, editor: WordEditor, pos: int,
                               cyc: Tuple[Edge, Edge, Edge], k: int) -> None:
@@ -684,17 +694,23 @@ def bb_relator_scheme(delta: FlagComplex, tree: SpanningTree, kind: str, args,
                       ) -> DerivationSequence:
     """Emit a replayable null sequence for one indexed-family member: kinds
     "e-ebar" and "stable" take a directed edge, "efg" and "inverse-efg" a
-    triangle cycle; the measured area stays within scheme_bound(kind, n)."""
+    triangle cycle; the measured area stays within scheme_bound(kind, n).
+    Arguments of the wrong shape raise ValueError before anything is
+    emitted."""
+    emitters = {"e-ebar": _scheme_edge_pair, "efg": _scheme_cycle,
+                "inverse-efg": _scheme_inverse_cycle, "stable": _scheme_stable}
+    if kind not in emitters:
+        raise ValueError(f"unknown scheme kind {kind!r}")
     model = _model_for(delta, tree, model)
-    if kind == "e-ebar":
-        return _scheme_edge_pair(model, tuple(args), n)
-    if kind == "efg":
-        return _scheme_cycle(model, tuple(args), n)
-    if kind == "inverse-efg":
-        return _scheme_inverse_cycle(model, tuple(args), n)
-    if kind == "stable":
-        return _scheme_stable(model, tuple(args), n)
-    raise ValueError(f"unknown scheme kind {kind!r}")
+    args = tuple(args)
+    if kind in ("efg", "inverse-efg"):
+        cyc = tuple(tuple(e) for e in args)
+        if (len(cyc) != 3 or any(len(e) != 2 for e in cyc) or not _is_cycle(delta, cyc)
+                or len({e[0] for e in cyc}) != 3):
+            raise ValueError(f"{kind} takes a triangle cycle of three edges, not {args!r}")
+    elif len(args) != 2 or frozenset(args) not in delta.edge_set:
+        raise ValueError(f"{kind} takes a directed edge, not {args!r}")
+    return emitters[kind](model, args, n)
 
 
 def _scheme_edge_pair(model: BBModel, e: Edge, n: int) -> DerivationSequence:
@@ -750,9 +766,10 @@ def _scheme_inverse_cycle(model: BBModel, cyc: Tuple[Edge, Edge, Edge], n: int
     depths = [model.depth(e[0]) for e in cyc]
     # conjugate so the leading inverted path joins the trailing one; the
     # rotated core starts with the first inverse edge power
-    head = editor.word[: depths[1] * m]  # Q(tau_0, n)^-1, tau_0 = iota_1
-    editor.insert_cancelling(len(editor.word), head)
-    core = editor.word[len(head) : len(editor.word) - len(head)]
+    letters = editor.letters
+    head = Word._of(tuple(letters[: depths[1] * m]))  # Q(tau_0, n)^-1, tau_0 = iota_1
+    editor.insert_cancelling(len(letters), head)
+    core = Word._of(tuple(letters[len(head) : len(letters) - len(head)]))
     sub = WordEditor(model.pres, core)
     # junction pairs [P(iota_i)^-1 Q(tau_{i+1})^-1] are the endpoint pair of
     # the reverse of the preceding edge; rewrite each into its power
@@ -801,9 +818,9 @@ def _convert_reverse_to_inverse(model: BBModel, editor: WordEditor, pos: int,
     """Rewrite reversed-edge letters at pos into inverse letters of the
     original edges, one reverse-pair relator each."""
     for i in range(count):
-        let = editor.word[pos + i]
+        let = editor.letters[pos + i]
         bar = model.delta.reverse_letter(let).inverse()
-        editor.relator(pos + i, Word((let,)), Word((bar,)))
+        editor.relator(pos + i, Word._of((let,)), Word._of((bar,)))
 
 
 def _fill_inverse_core(model: BBModel, editor: WordEditor,
@@ -819,11 +836,11 @@ def _fill_inverse_core(model: BBModel, editor: WordEditor,
     repl = Word((x1.inverse(), x0.inverse()))
     first = span  # x2^{-n} block, m letters
     for i in range(m):
-        editor.relator(first + 2 * i, Word((editor.word[first + 2 * i],)), repl)
+        editor.relator(first + 2 * i, Word._of((editor.letters[first + 2 * i],)), repl)
     model.sort_block_pairs(editor, first, m, x0.inverse())
     second = span + 2 * m + span + m  # x2^{-n-1} block, span letters
     for i in range(span):
-        editor.relator(second + 2 * i, Word((editor.word[second + 2 * i],)), repl)
+        editor.relator(second + 2 * i, Word._of((editor.letters[second + 2 * i],)), repl)
     model.sort_block_pairs(editor, second, span, x0.inverse())
     editor.free_to(free_reduce(editor.word))
     residue = editor.word
@@ -901,31 +918,33 @@ def _scheme_stable(model: BBModel, e: Edge, n: int) -> DerivationSequence:
     return editor.sequence()
 
 
+def member_scheme(model: BBModel, member: IndexedRelator) -> Tuple[str, object, int]:
+    """The ``bb_relator_scheme`` kind, arguments and index n that fill one
+    indexed-family member: a stable member its edge, a two-letter relator
+    "e-ebar" on its first edge, a positive triangle relator "efg" and a
+    negative one "inverse-efg" on its edges."""
+    delta = model.delta
+    n = member.parameter[1]
+    if member.family == "stable":
+        return "stable", delta.letter_edge(member.parameter[0]), n
+    rel = model.pres.relators[member.parameter[0]]
+    if len(rel) == 2:
+        return "e-ebar", delta.letter_edge(rel[0].gen), n
+    kind = "efg" if rel[0].sign > 0 else "inverse-efg"
+    return kind, tuple(delta.letter_edge(let.gen) for let in rel.letters), n
+
+
 def rarea_sample(delta: FlagComplex, tree: SpanningTree, index_bound: int,
-                 budget: Optional[SearchBudget] = None, exact: bool = False
-                 ) -> List[Dict]:
+                 budget: Optional[SearchBudget] = None, exact: bool = False,
+                 model: Optional[BBModel] = None) -> List[Dict]:
     """Per-index area data for every indexed relator up to the bound: the
     replayed area of the emitted scheme (an upper bound), the scheme's
     stated bound, and optionally an exact search verdict."""
-    model = BBModel(delta, tree)
+    model = _model_for(delta, tree, model)
     pres = model.pres
     rows: List[Dict] = []
-    for ir in bb_indexed_families(delta, tree, index_bound):
-        n = ir.parameter[1]
-        if ir.family == "stable":
-            kind = "stable"
-            args = delta.letter_edge(ir.parameter[0])
-        else:
-            rel = pres.relators[ir.parameter[0]]
-            if len(rel) == 2:
-                kind = "e-ebar"
-                args = delta.letter_edge(rel[0].gen)
-            elif rel[0].sign > 0:
-                kind = "efg"
-                args = tuple(delta.letter_edge(l.gen) for l in rel.letters)
-            else:
-                kind = "inverse-efg"
-                args = tuple(delta.letter_edge(l.gen) for l in rel.letters)
+    for ir in _families(delta, tree, pres, index_bound):
+        kind, args, n = member_scheme(model, ir)
         seq = bb_relator_scheme(delta, tree, kind, args, n, model)
         acct = replay_sequence(pres, seq)
         if acct.endpoints != (ir.word, EMPTY):

@@ -560,7 +560,7 @@ def k32_witness_filling(n: int):
     editor.relator(0, u_s, word("s"))
     pos = 0
     for _ in range(2 * n):
-        nxt = editor.word[pos + 1]
+        nxt = editor.letters[pos + 1]
         side = u_s if nxt.gen == "c" else v_s
         editor.relator(pos, word("s"), side)
         editor.relator(pos, concat(side, Word((nxt,))), concat(Word((nxt,)), side))

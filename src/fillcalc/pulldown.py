@@ -273,7 +273,7 @@ def letter_conjugation_sequence(
         # sort both mixed power blocks, merge the middle f-powers freely,
         # walk the letter out through the leftover f-block, and cancel
         editor.sort(0, 2 * abs(h), lambda x: x.gen != e.gen)
-        n = len(editor.word)
+        n = len(editor.letters)
         editor.sort(n - 2 * abs(h + tx), n, lambda x: x.gen != f.gen)
         before = -h if let.sign > 0 else -(h + tx)
         mid = concat(
@@ -310,7 +310,6 @@ def conjugation_scheme(
             sub = conversions[k, let, level] = letter_conjugation_sequence(
                 ctx, k, let, level
             )
-        # every spliced move is replayed again on the editor's word
         editor.apply_subsequence(offset, sub)
         t = let.sign * ctx.letter_charge_k(let.gen, k)
         offset += abs(level) + 1 + abs(level + t)
@@ -387,7 +386,7 @@ def relator_filling(
     else:
         case = 6
         editor.free_to(EMPTY)
-    if len(editor.word):
+    if editor.letters:
         raise InternalCheckError(
             f"relator filling case {case} left residue {editor.word}"
         )
@@ -398,8 +397,8 @@ def _fill_case_both_high(ctx: PulldownContext, k: int, editor: WordEditor) -> No
     # both letters outside the first factor: sweep the e-letters together,
     # cancel them, and apply the commutator relator
     e = ctx.e(k)
-    editor.cancel_gen_in_window(e.gen, 0, len(editor.word))
-    if len(editor.word) == 4:
+    editor.cancel_gen_in_window(e.gen, 0, len(editor.letters))
+    if len(editor.letters) == 4:
         editor.relator(0, editor.word, EMPTY)
     editor.free_to(EMPTY)
 

@@ -8,12 +8,15 @@ converters between them preserve area and never increase heights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+)
 
 from .words import (
     EMPTY,
+    _check_letter,
     ChargeMap,
     Letter,
     UnknownGeneratorError,
@@ -198,33 +201,44 @@ def _relator_halves(pres: GroupPresentation, move: ApplyRelator) -> Tuple[Word, 
     return halves
 
 
-def apply_move(pres: GroupPresentation, w: Word, move: RewriteMove) -> Word:
+def _apply_move(
+    pres: GroupPresentation, letters: List[Letter], move: RewriteMove
+) -> Optional[Letter]:
+    """Apply a move to a list of letters in place, and return the first
+    letter of the pair a contraction removes (None for other moves).  A
+    move that does not apply raises ValueError and leaves the list as it
+    was: every check comes before the list changes."""
     if isinstance(move, FreeContract):
-        if not 0 <= move.pos <= len(w) - 2:
+        pos = move.pos
+        if not 0 <= pos <= len(letters) - 2:
             raise ValueError("position out of range")
-        a, b = w[move.pos], w[move.pos + 1]
+        a, b = letters[pos], letters[pos + 1]
         if a != b.inverse():
             raise ValueError(f"letters {a}, {b} do not cancel")
-        return Word._of(w.letters[: move.pos] + w.letters[move.pos + 2 :])
+        del letters[pos : pos + 2]
+        return a
     if isinstance(move, FreeExpand):
-        if not 0 <= move.pos <= len(w):
+        pos = move.pos
+        if not 0 <= pos <= len(letters):
             raise ValueError("position out of range")
         # the one letter a move brings in: checked, as it may come from outside
-        let = Word((move.letter,))
-        pair = let.letters + let.inverse().letters
-        return Word._of(w.letters[: move.pos] + pair + w.letters[move.pos :])
+        let = move.letter
+        _check_letter(let)
+        letters[pos:pos] = (let, let.inverse())
+        return None
     if isinstance(move, ApplyRelator):
         replaced, replacement = _relator_halves(pres, move)
-        if not 0 <= move.pos <= len(w) - len(replaced):
+        pos = move.pos
+        end = pos + len(replaced)
+        if not 0 <= pos <= len(letters) - len(replaced):
             raise ValueError("position out of range")
-        got = w[move.pos : move.pos + len(replaced)]
-        if got != replaced:
-            raise ValueError(f"subword {got} does not match relator part {replaced}")
-        return Word._of(
-            w.letters[: move.pos]
-            + replacement.letters
-            + w.letters[move.pos + len(replaced) :]
-        )
+        got = tuple(letters[pos:end])
+        if got != replaced.letters:
+            raise ValueError(
+                f"subword {Word._of(got)} does not match relator part {replaced}"
+            )
+        letters[pos:end] = replacement.letters
+        return None
     raise TypeError(f"unknown move {move!r}")
 
 
@@ -234,10 +248,13 @@ class DerivationSequence:
 
     start: Word
     moves: Tuple[RewriteMove, ...]
+    # what the emitting editor knew of the moves (see _Record); never compared
+    _record: Optional["_Record"] = field(default=None, compare=False, repr=False)
 
     def __init__(self, start: Word, moves: Iterable[RewriteMove] = ()):
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "moves", tuple(moves))
+        object.__setattr__(self, "_record", None)
 
     @property
     def area(self) -> int:
@@ -245,6 +262,72 @@ class DerivationSequence:
 
     def then(self, other: "DerivationSequence") -> "DerivationSequence":
         return DerivationSequence(self.start, self.moves + other.moves)
+
+
+# a run of letters, read inverted (reversed, each letter inverted) when flagged
+_Piece = Tuple[Sequence[Letter], bool]
+# one side of a relator move's context: the plain letters a move was applied
+# next to, or, once spliced or mirrored, a tuple of pieces read in order
+_Side = Union[List[Letter], Tuple[_Piece, ...]]
+
+
+class _Record(NamedTuple):
+    """What applying a sequence's moves showed, kept so that the converters
+    need not apply them again: the final word's letters, and for each move
+    the length of the word it acts on and a note.  A contraction's note is
+    the first letter of the pair it removes, an expansion's is None, and a
+    relator move's is the pair of sides (prefix, suffix) of the word it
+    acts on around the replaced subword."""
+
+    final: Tuple[Letter, ...]
+    lengths: Tuple[int, ...]
+    notes: tuple
+
+
+def _recorded(start: Word, moves: Iterable[RewriteMove], record: _Record
+              ) -> DerivationSequence:
+    """A sequence carrying the record of its moves, which the caller
+    vouches for: it applied them, or derived them from a recorded
+    sequence."""
+    seq = DerivationSequence(start, moves)
+    object.__setattr__(seq, "_record", record)
+    return seq
+
+
+def _note(pres: GroupPresentation, move: RewriteMove, letters: List[Letter],
+          gone: Optional[Letter]):
+    """The record note of a move just applied to letters, where gone is what
+    ``_apply_move`` returned."""
+    if isinstance(move, ApplyRelator):
+        after = move.pos + len(pres.relators[move.rel]) - move.split
+        return letters[: move.pos], letters[after:]
+    return gone
+
+
+def _pieces(side: _Side) -> Tuple[_Piece, ...]:
+    return ((side, False),) if isinstance(side, list) else side
+
+
+def _side_letters(side: _Side, inverses: Dict[Letter, Letter]) -> Tuple[Letter, ...]:
+    """The letters of a context side; inverted letters are taken from, or
+    added to, the inverses table, so that the words built with one table
+    share their letters."""
+    out: List[Letter] = []
+    for letters, inverted in _pieces(side):
+        if not inverted:
+            out += letters
+            continue
+        for let in reversed(letters):
+            inv = inverses.get(let)
+            if inv is None:
+                inv = inverses[let] = let.inverse()
+            out.append(inv)
+    return tuple(out)
+
+
+def _inverted(side: _Side) -> Tuple[_Piece, ...]:
+    """The side of the inverse word."""
+    return tuple((letters, not inverted) for letters, inverted in reversed(_pieces(side)))
 
 
 @dataclass(frozen=True)
@@ -383,17 +466,33 @@ class Accounting:
 
 def _walk(
     pres: GroupPresentation, seq: DerivationSequence
-) -> Iterator[Tuple[Word, RewriteMove, Word]]:
-    """Apply a sequence's moves in order, yielding (before, move, after) for
-    each; a move that does not apply raises MalformedMoveError."""
-    w = seq.start
+) -> Iterator[Tuple[RewriteMove, List[Letter], Optional[Letter]]]:
+    """Apply a sequence's moves in order to one list of letters, yielding
+    after each move the move, the list (edited in place by the next move)
+    and the letter a contraction removed; a move that does not apply raises
+    MalformedMoveError before anything is yielded for it."""
+    letters = list(seq.start.letters)
     for idx, move in enumerate(seq.moves):
         try:
-            after = apply_move(pres, w, move)
+            gone = _apply_move(pres, letters, move)
         except (ValueError, IndexError) as exc:
             raise MalformedMoveError(idx, str(exc)) from exc
-        yield w, move, after
-        w = after
+        yield move, letters, gone
+
+
+def _record_of(pres: GroupPresentation, seq: DerivationSequence) -> _Record:
+    """The sequence's record: the one it carries, or one from a walk."""
+    if seq._record is not None:
+        return seq._record
+    lengths: List[int] = []
+    notes: list = []
+    letters: Sequence[Letter] = seq.start.letters
+    n = len(letters)
+    for move, letters, gone in _walk(pres, seq):
+        lengths.append(n)
+        notes.append(_note(pres, move, letters, gone))
+        n = len(letters)
+    return _Record(tuple(letters), tuple(lengths), tuple(notes))
 
 
 def _relators_have_zero_charge(pres: GroupPresentation, theta: ChargeMap) -> bool:
@@ -417,23 +516,23 @@ def replay_sequence(
     """
     track = theta is not None and _relators_have_zero_charge(pres, theta)
     best = [0] * theta.rank if track else None
-    w = seq.start
     if track:
-        for i, h in enumerate(heights(theta, w)):
+        for i, h in enumerate(heights(theta, seq.start)):
             best[i] = max(best[i], h)
     area = 0
-    for _, move, w in _walk(pres, seq):
+    letters: Sequence[Letter] = seq.start.letters
+    for move, letters, _ in _walk(pres, seq):
         if isinstance(move, ApplyRelator):
             area += 1
         if track:
-            for i, h in enumerate(heights(theta, w)):
+            for i, h in enumerate(heights(theta, letters)):
                 if h > best[i]:
                     best[i] = h
     return Accounting(
         area=area,
         radius=None,
         heights=tuple(best) if track else None,
-        endpoints=(seq.start, w),
+        endpoints=(seq.start, Word._of(tuple(letters))),
     )
 
 
@@ -523,7 +622,8 @@ def sequence_to_expression(
     decompositions exist the first (current-word) one is chosen.
     """
     terms: List[Tuple[Word, int, int]] = []
-    for w, move, _ in _walk(pres, seq):
+    inverses: Dict[Letter, Letter] = {}
+    for move, note in zip(seq.moves, _record_of(pres, seq).notes):
         if isinstance(move, ApplyRelator):
             # the signed relator is p q with |p| = rot, and its rotation q p
             # is replaced followed by replacement^-1: q starts replaced when
@@ -534,7 +634,8 @@ def sequence_to_expression(
                 tail = replaced.letters[:len_q]
             else:
                 tail = replacement.letters[: move.rot]
-            terms.append((Word._of(w.letters[: move.pos] + tail), move.rel, move.sign))
+            prefix = _side_letters(note[0], inverses)
+            terms.append((Word._of(prefix + tail), move.rel, move.sign))
     return FillingExpression(terms)
 
 
@@ -542,11 +643,13 @@ def _mirror(
     pres: GroupPresentation, seq: DerivationSequence
 ) -> Tuple[DerivationSequence, Word]:
     """The mirror of a sequence (see ``mirror_sequence``) and the sequence's
-    final word, from one walk."""
+    final word.  The mirror of a move on a word of n letters acts on its
+    inverse: a contraction of the same letter pair, the expansion of the
+    same letter, and a relator move whose context is the inverted one."""
+    rec = _record_of(pres, seq)
     moves: List[RewriteMove] = []
-    w = seq.start
-    for before, move, w in _walk(pres, seq):
-        n = len(before)
+    notes: list = []
+    for move, n, note in zip(seq.moves, rec.lengths, rec.notes):
         if isinstance(move, FreeContract):
             moves.append(FreeContract(n - move.pos - 2))
         elif isinstance(move, FreeExpand):
@@ -563,7 +666,11 @@ def _mirror(
                     split=move.split,
                 )
             )
-    return DerivationSequence(seq.start.inverse(), moves), w
+            note = (_inverted(note[1]), _inverted(note[0]))
+        notes.append(note)
+    final = Word._of(rec.final)
+    record = _Record(final.inverse().letters, rec.lengths, tuple(notes))
+    return _recorded(seq.start.inverse(), moves, record), final
 
 
 def mirror_sequence(
@@ -589,14 +696,21 @@ def invert_sequence(
 def reverse_sequence(
     pres: GroupPresentation, seq: DerivationSequence
 ) -> DerivationSequence:
-    """Time reversal: a sequence converting tau' back to tau, same area."""
+    """Time reversal: a sequence converting tau' back to tau, same area.
+    The reverse of a move acts on the word the move made: a contraction
+    becomes the expansion of the letter it removed, and a relator move keeps
+    its context."""
+    rec = _record_of(pres, seq)
+    after = (rec.lengths + (len(rec.final),))[1:]
     moves: List[RewriteMove] = []
-    w = seq.start
-    for before, move, w in _walk(pres, seq):
+    notes: list = []
+    for move, note in zip(reversed(seq.moves), reversed(rec.notes)):
         if isinstance(move, FreeContract):
-            moves.append(FreeExpand(move.pos, before[move.pos]))
+            moves.append(FreeExpand(move.pos, note))
+            note = None
         elif isinstance(move, FreeExpand):
             moves.append(FreeContract(move.pos))
+            note = move.letter
         else:
             m = len(pres.relators[move.rel])
             moves.append(
@@ -608,7 +722,9 @@ def reverse_sequence(
                     split=m - move.split,
                 )
             )
-    return DerivationSequence(w, moves[::-1])
+        notes.append(note)
+    record = _Record(seq.start.letters, after[::-1], tuple(notes))
+    return _recorded(Word._of(rec.final), moves, record)
 
 
 def splice_sequence(seq: DerivationSequence, offset: int) -> Tuple[RewriteMove, ...]:

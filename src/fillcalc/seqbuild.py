@@ -5,6 +5,11 @@ append replay-valid moves: free moves, resolved relator applications,
 adjacent transpositions (free for letters of one generator, one relator
 application across commuting generators), block bubbling, and targeted
 cancellation.  Emitters build sequences with these and tests replay them.
+
+The current word is one list of letters, which each move edits in place.
+The editor records what every move showed (see ``rewriting._Record``), so
+that a sequence it emits can be spliced into another editor, mirrored,
+reversed or turned into an expression without applying its moves again.
 """
 
 from __future__ import annotations
@@ -12,11 +17,17 @@ from __future__ import annotations
 from typing import List
 
 from .rewriting import (
+    ApplyRelator,
     DerivationSequence,
     FreeContract,
     FreeExpand,
     GroupPresentation,
-    apply_move,
+    InternalCheckError,
+    _apply_move,
+    _note,
+    _pieces,
+    _Record,
+    _recorded,
     find_relator_move,
     free_equality_sequence,
     splice_sequence,
@@ -27,18 +38,38 @@ __all__ = ["WordEditor"]
 
 
 class WordEditor:
+    """``letters`` is the current word, for reading only; ``word`` is a
+    snapshot of it, built when read.  A move the editor cannot apply is a
+    defect of the emitter that asked for it, reported as
+    InternalCheckError."""
+
     def __init__(self, pres: GroupPresentation, start: Word):
         self.pres = pres
         self.start = start
-        self.word = start
+        self.letters: List[Letter] = list(start.letters)
         self.moves: List = []
+        # per move: the length of the word it acts on, and its record note
+        self._lengths: List[int] = []
+        self._notes: list = []
+
+    @property
+    def word(self) -> Word:
+        return Word._of(tuple(self.letters))
 
     def sequence(self) -> DerivationSequence:
-        return DerivationSequence(self.start, tuple(self.moves))
+        record = _Record(tuple(self.letters), tuple(self._lengths), tuple(self._notes))
+        return _recorded(self.start, self.moves, record)
 
     def _emit(self, move) -> None:
-        self.word = apply_move(self.pres, self.word, move)
+        letters = self.letters
+        n = len(letters)
+        try:
+            gone = _apply_move(self.pres, letters, move)
+        except (ValueError, IndexError) as exc:
+            raise InternalCheckError(f"emitted move {len(self.moves)}: {exc}") from exc
         self.moves.append(move)
+        self._lengths.append(n)
+        self._notes.append(_note(self.pres, move, letters, gone))
 
     def contract(self, pos: int) -> None:
         self._emit(FreeContract(pos))
@@ -54,14 +85,14 @@ class WordEditor:
         move (the word is unchanged), a cancelling pair is recycled through a
         free contraction and expansion, and distinct generators need one
         relator application."""
-        a, b = self.word[pos], self.word[pos + 1]
+        a, b = self.letters[pos], self.letters[pos + 1]
         if a == b:
             return
         if a.gen == b.gen:
             self.contract(pos)
             self.expand(pos, b)
         else:
-            self.relator(pos, Word((a, b)), Word((b, a)))
+            self.relator(pos, Word._of((a, b)), Word._of((b, a)))
 
     def move_letter(self, src: int, dst: int) -> None:
         """Bubble the letter at src to position dst by transpositions."""
@@ -84,17 +115,39 @@ class WordEditor:
             self._emit(move)
 
     def apply_subsequence(self, pos: int, seq: DerivationSequence) -> None:
-        """Splice a prebuilt sequence acting on the subword at pos."""
-        got = self.word[pos : pos + len(seq.start)]
-        if got != seq.start:
-            raise ValueError(f"subword {got} != expected {seq.start}")
-        for move in splice_sequence(seq, pos):
-            self._emit(move)
+        """Splice a prebuilt sequence acting on the subword at pos.  The
+        moves of a sequence that carries its record (one an editor emitted,
+        or a converter derived from one) were applied when it was built:
+        they are appended re-based, and the subword becomes the sequence's
+        final word.  Any other sequence is applied move by move."""
+        letters = self.letters
+        end = pos + len(seq.start)
+        got = tuple(letters[pos:end])
+        if got != seq.start.letters:
+            raise InternalCheckError(
+                f"emitted move {len(self.moves)}: subword {Word._of(got)} "
+                f"!= expected {seq.start}"
+            )
+        moves = splice_sequence(seq, pos)
+        rec = seq._record
+        if rec is None:
+            for move in moves:
+                self._emit(move)
+            return
+        delta = len(letters) - len(seq.start)
+        self._lengths.extend(n + delta for n in rec.lengths)
+        left, right = (letters[:pos], False), (letters[end:], False)
+        self._notes.extend(
+            ((left,) + _pieces(note[0]), _pieces(note[1]) + (right,))
+            if isinstance(move, ApplyRelator) else note
+            for move, note in zip(seq.moves, rec.notes)
+        )
+        self.moves.extend(moves)
+        letters[pos:end] = rec.final
 
     def _gen_positions(self, gen: str, start: int, end: int):
-        return [
-            i for i in range(start, end) if self.word[i].gen == gen
-        ]
+        letters = self.letters
+        return [i for i in range(start, end) if letters[i].gen == gen]
 
     def cancel_gen_in_window(self, gen: str, start: int, end: int) -> None:
         """Cancel every pair of gen-letters inside [start, end): repeatedly
@@ -104,8 +157,9 @@ class WordEditor:
         while True:
             idxs = self._gen_positions(gen, start, end)
             pair = None
+            letters = self.letters
             for a, b in zip(idxs, idxs[1:]):
-                if self.word[a].sign == -self.word[b].sign:
+                if letters[a].sign == -letters[b].sign:
                     if pair is None or b - a < pair[1] - pair[0]:
                         pair = (a, b)
             if pair is None:
@@ -119,10 +173,11 @@ class WordEditor:
         """Spread the (at most two kinds of) letters in [lo, hi) so equal
         letters never sit adjacent where avoidable; keeps prefix charges from
         accumulating inside merged power blocks."""
+        letters = self.letters
         for t in range(lo, hi - 1):
-            if self.word[t] == self.word[t + 1]:
+            if letters[t] == letters[t + 1]:
                 u = t + 2
-                while u < hi and self.word[u] == self.word[t]:
+                while u < hi and letters[u] == letters[t]:
                     u += 1
                 if u < hi:
                     self.move_letter(u, t + 1)
@@ -135,8 +190,9 @@ class WordEditor:
         while True:
             idxs = self._gen_positions(gen, start, end)
             pair = None
+            letters = self.letters
             for a, b in zip(idxs, idxs[1:]):
-                if self.word[a].sign == -self.word[b].sign:
+                if letters[a].sign == -letters[b].sign:
                     pair = (a, b)
                     break
             if pair is None:
@@ -156,8 +212,9 @@ class WordEditor:
         adjacent transposition at a time.  swap(editor, pos) performs a
         transposition; it defaults to WordEditor.swap."""
         swap = swap or WordEditor.swap
+        letters = self.letters
         for i in range(lo + 1, hi):
             j = i
-            while j > lo and key(self.word[j - 1]) > key(self.word[j]):
+            while j > lo and key(letters[j - 1]) > key(letters[j]):
                 swap(self, j - 1)
                 j -= 1

@@ -61,6 +61,12 @@ def _parse_letter(token: str) -> Letter:
     return Letter(token, sign)
 
 
+def _check_letter(let) -> None:
+    """Raise ValueError unless let is a Letter of sign +1 or -1."""
+    if not isinstance(let, Letter) or let.sign not in (1, -1):
+        raise ValueError(f"bad letter {let!r}")
+
+
 class Word:
     """An immutable word; all operations return fresh values.
 
@@ -74,8 +80,7 @@ class Word:
     def __init__(self, letters: Iterable[Letter] = ()):
         letters = tuple(letters)
         for let in letters:
-            if not isinstance(let, Letter) or let.sign not in (1, -1):
-                raise ValueError(f"bad letter {let!r}")
+            _check_letter(let)
         object.__setattr__(self, "letters", letters)
 
     @classmethod

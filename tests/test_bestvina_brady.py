@@ -469,3 +469,60 @@ def test_emitters_reject_a_model_of_another_complex_or_tree():
     # without a model the emitter fills the member it was asked for
     seq = bb_relator_scheme(k3_at_b, tree_at_b, "e-ebar", ("a", "c"), 1)
     assert seq.start == word("b_a a_c a_c c_b b_c c_a c_a a_b")
+
+
+@pytest.mark.parametrize("kind,args", [
+    pytest.param("efg", (("a", "b"), ("c", "a"), ("b", "c")), id="efg-not-a-cycle"),
+    pytest.param("inverse-efg", (("a", "b"), ("b", "a"), ("a", "c")),
+                 id="inverse-efg-not-a-triangle"),
+    pytest.param("efg", (("a", "b"), ("b", "c")), id="efg-two-edges"),
+    pytest.param("e-ebar", ("a", "zz"), id="e-ebar-not-an-edge"),
+    pytest.param("stable", (("a", "b"), ("b", "c"), ("c", "a")), id="stable-a-cycle"),
+])
+@pytest.mark.parametrize("n", [0, 2])
+def test_scheme_arguments_of_the_wrong_shape_are_rejected_before_emission(kind, args, n):
+    # such arguments used to reach the editor, where a move that does not
+    # apply is reported as an internal defect
+    with pytest.raises(ValueError, match="takes a"):
+        bb_relator_scheme(K3, K3_TREE, kind, args, n)
+
+
+def test_rarea_sample_shares_the_given_model():
+    model = BBModel(K3, K3_TREE)
+    assert rarea_sample(K3, K3_TREE, 1, model=model) == rarea_sample(K3, K3_TREE, 1)
+    assert model._homotopies and model._swap_fills
+    with pytest.raises(ValueError, match="another complex or tree"):
+        rarea_sample(K3, spanning_tree(K3), 1, model=model)
+
+
+def test_bb_complexes_builds_each_presentation_and_homotopy_once(monkeypatch):
+    from fillcalc import acceptance
+
+    calls = {"presentations": 0, "homotopies": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bestvina_brady, "dicks_leary_presentation",
+                        counted("presentations", dicks_leary_presentation))
+    monkeypatch.setattr(bestvina_brady, "find_null_homotopy",
+                        counted("homotopies", find_null_homotopy))
+    acceptance.check_bb_complexes()
+    # K3 and the octahedron: one presentation for the model and one for the
+    # criterion's own family list; 23 distinct edge cycles between them
+    assert calls == {"presentations": 4, "homotopies": 23}
+
+
+def test_member_scheme_matches_each_family():
+    model = BBModel(OCTA, OCTA_TREE)
+    kinds = set()
+    for member in bb_indexed_families(OCTA, OCTA_TREE, 1):
+        kind, args, n = bestvina_brady.member_scheme(model, member)
+        kinds.add(kind)
+        assert n == member.parameter[1]
+        seq = bb_relator_scheme(OCTA, OCTA_TREE, kind, args, n, model)
+        assert replay_sequence(model.pres, seq).endpoints == (member.word, EMPTY)
+    assert kinds == {"e-ebar", "efg", "inverse-efg", "stable"}

@@ -43,19 +43,8 @@ def test_stored_halves_equal_fresh_computation_after_a_sweep():
     model = bb.BBModel(delta, tree)
     pres = model.pres
     for member in bb.bb_indexed_families(delta, tree, 1):
-        n = member.parameter[1]
-        if member.family == "stable":
-            seq = bb.bb_relator_scheme(
-                delta, tree, "stable", delta.letter_edge(member.parameter[0]), n, model
-            )
-        else:
-            rel = pres.relators[member.parameter[0]]
-            if len(rel) == 2:
-                kind, args = "e-ebar", delta.letter_edge(rel[0].gen)
-            else:
-                kind = "efg" if rel[0].sign > 0 else "inverse-efg"
-                args = tuple(delta.letter_edge(let.gen) for let in rel.letters)
-            seq = bb.bb_relator_scheme(delta, tree, kind, args, n, model)
+        kind, args, n = bb.member_scheme(model, member)
+        seq = bb.bb_relator_scheme(delta, tree, kind, args, n, model)
         # the converters read the same table at the (rot, split) keys that
         # their own arithmetic produces
         replay_sequence(pres, mirror_sequence(pres, seq))

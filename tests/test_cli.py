@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from fillcalc import acceptance, oracle, pulldown, rewriting
+from fillcalc import acceptance, bestvina_brady, oracle, pulldown, rewriting
 from fillcalc.cli import main
 from fillcalc.words import word
 
@@ -554,6 +554,26 @@ def test_malformed_sequence_is_a_usage_error(tmp_path, capsys, moves, field):
     sequences = [{"start": "x y x' y'", "moves": moves}]
     assert _verify_with_sequences(tmp_path, ONE_ROW, sequences) == 2
     assert field in capsys.readouterr().err
+
+
+def test_a_move_that_does_not_apply_in_a_sequence_file_is_a_usage_error(
+        tmp_path, capsys):
+    moves = [{"op": "expand", "pos": 0, "letter": "x"}, {"op": "contract", "pos": 2}]
+    sequences = [{"start": "x y x' y'", "moves": moves}]
+    assert _verify_with_sequences(tmp_path, ONE_ROW, sequences) == 2
+    assert "move 1: letters x, y do not cancel" in capsys.readouterr().err
+
+
+def test_a_move_an_emitter_cannot_apply_is_an_internal_error(k3, monkeypatch, capsys):
+    # the emitter's own move, not the input, is at fault
+    def collapse_pair_power(self, editor, pos, k):
+        editor.contract(len(editor.letters))
+
+    monkeypatch.setattr(bestvina_brady.BBModel, "collapse_pair_power",
+                        collapse_pair_power)
+    assert main(["bb", "--complex", k3, "rarea", "--index-bound", "0"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: emitted move 2: position out of range")
 
 
 @pytest.mark.parametrize("scheme,sequences,field", [

@@ -26,23 +26,10 @@ CONTEXTS = (standard_context(3, 2, 1), standard_context(4, 2, 2))
 CHECKED = settings(max_examples=40, deadline=None, derandomize=True)
 
 
-def scheme_of(member):
-    """The emitter kind and arguments for a family member, as
-    ``rarea_sample`` chooses them."""
-    n = member.parameter[1]
-    if member.family == "stable":
-        return "stable", K3.letter_edge(member.parameter[0]), n
-    rel = K3_MODEL.pres.relators[member.parameter[0]]
-    if len(rel) == 2:
-        return "e-ebar", K3.letter_edge(rel[0].gen), n
-    kind = "efg" if rel[0].sign > 0 else "inverse-efg"
-    return kind, tuple(K3.letter_edge(let.gen) for let in rel.letters), n
-
-
 @st.composite
 def bb_schemes(draw):
     member = draw(st.sampled_from(K3_MEMBERS))
-    kind, args, n = scheme_of(member)
+    kind, args, n = bb.member_scheme(K3_MODEL, member)
     return K3_MODEL.pres, bb.bb_relator_scheme(K3, K3_TREE, kind, args, n, K3_MODEL)
 
 
