@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .constructors import IndexedRelator
-from .oracle import SearchBudget, area_exact
+from .oracle import SearchBudget, area_exact, two_step_filling
 from .rewriting import (
     DerivationSequence,
     GroupPresentation,
@@ -533,17 +533,12 @@ class BBModel:
     def _commutator_fill(self, a: Letter, b: Letter) -> DerivationSequence:
         key = (a, b)
         if key not in self._swap_fills:
-            w = Word((a, b, a.inverse(), b.inverse()))
-            res = area_exact(
-                self.pres,
-                w,
-                SearchBudget(max_word_length=8, max_states=300_000, max_area=4),
-            )
-            if res.kind != "area":
+            fill = two_step_filling(self.pres, Word((a, b, a.inverse(), b.inverse())))
+            if fill is None:
                 raise ValueError(f"letters {a} and {b} have no small commutator fill")
             # applied once here, so that every swap splices it by its record
-            sub = WordEditor(self.pres, res.witness.start)
-            sub.apply_subsequence(0, res.witness)
+            sub = WordEditor(self.pres, fill.start)
+            sub.apply_subsequence(0, fill)
             self._swap_fills[key] = sub.sequence()
         return self._swap_fills[key]
 
@@ -859,7 +854,7 @@ def _fill_inverse_core(model: BBModel, editor: WordEditor,
             editor.relator(0, pair, Word((cand,)))
             editor.relator(0, editor.word, EMPTY)
             return
-    raise NotNullError(f"residue {residue} did not collapse")
+    raise InternalCheckError(f"residue {residue} did not collapse")
 
 
 def _scheme_stable(model: BBModel, e: Edge, n: int) -> DerivationSequence:

@@ -43,6 +43,7 @@ __all__ = [
     "MembershipUndecidableError",
     "AlphabetMismatchError",
     "area_exact",
+    "two_step_filling",
     "find_filling",
     "dehn_sample",
     "dp_equal",
@@ -155,7 +156,9 @@ class _Coder:
         # of the corresponding split-0 move (which inserts the unreduced
         # conjugate)
         self.insertions: List[Tuple[str, str, str, int, int, int]] = []
+        # the number of each insertion, by its code
         number: Dict[str, int] = {}
+        self.number = number
         for conj, (rel, sign, rot) in pres.relator_index.items():
             full = self.encode(conj)
             ins = self.reduce(full)
@@ -676,6 +679,32 @@ def _area(
                 ):
                     return finish(best[1], states)
         depth[side] = d + 1
+
+
+def two_step_filling(pres: GroupPresentation, w: Word) -> Optional[DerivationSequence]:
+    """The filling w -> t -> 1 of area 2 through the least-numbered insertion
+    t one search edge from w's reduced code, replayed; None when w has no
+    such t or has a filling of area 0 or 1.
+
+    It is the witness ``area_exact`` returns for w under any budget that
+    admits w, every insertion and area 2.  The search first expands w,
+    which meets the empty word only at area 1.  It then expands the empty
+    word, whose successors are the insertions in number order; the first
+    of them that w reaches is the meet, since every meet of that level
+    totals 2, and the search returns it with the same edges.  (When w has
+    at most one successor the search expands w again, and meets the empty
+    word behind that successor, which is this t.)"""
+    pres.check_word(w)
+    coder = _coder(pres)
+    start = coder.reduce(coder.encode(w))
+    if not start:
+        return None
+    found = [t for t, _, _ in coder.moves(start, max(coder.by_length, default=0))]
+    number = coder.number
+    meet = min((t for t in found if t in number), key=number.get, default=None)
+    if meet is None or "" in found:
+        return None
+    return _witnessed(pres, coder, w, [start, meet, ""], 0, area=2).witness
 
 
 def find_filling(

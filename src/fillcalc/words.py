@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 __all__ = [
     "Letter",
@@ -46,10 +46,18 @@ class Letter(NamedTuple):
     sign: int
 
     def inverse(self) -> "Letter":
-        return Letter(self.gen, -self.sign)
+        inv = _INVERSES.get(self)
+        if inv is None:
+            inv = _INVERSES[self] = Letter(self.gen, -self.sign)
+        return inv
 
     def __str__(self) -> str:
         return self.gen + ("'" if self.sign < 0 else "")
+
+
+# each letter's inverse, built once: inverting is among the commonest steps
+# of emission and replay
+_INVERSES: Dict[Letter, Letter] = {}
 
 
 def _parse_letter(token: str) -> Letter:

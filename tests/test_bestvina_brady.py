@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fillcalc import bestvina_brady
+from fillcalc import bestvina_brady, oracle
 from fillcalc.bestvina_brady import (
     BBModel,
     FlagComplex,
@@ -23,10 +23,18 @@ from fillcalc.bestvina_brady import (
     tree_word,
     triangle_complex,
 )
-from fillcalc.oracle import SearchBudget, area_exact, dp_equal, raag_equal
+from fillcalc.bestvina_brady import _triangle_cycles
+from fillcalc.oracle import (
+    SearchBudget,
+    area_exact,
+    dp_equal,
+    raag_equal,
+    two_step_filling,
+)
 from fillcalc.oracle import DirectProductSpec
 from fillcalc.pulldown import compose_bounds, parse_bound
-from fillcalc.rewriting import InternalCheckError, replay_sequence
+from fillcalc.rewriting import GroupPresentation, InternalCheckError, replay_sequence
+from fillcalc.seqbuild import WordEditor
 from fillcalc.words import EMPTY, Letter, Word, concat, free_reduce, word
 
 
@@ -204,8 +212,6 @@ def test_null_homotopy_to_power_sequence():
     model = BBModel(K3, K3_TREE)
     cycle = (("a", "b"), ("b", "c"), ("c", "a"))
     for n in (-2, -1, 1, 2, 3):
-        from fillcalc.seqbuild import WordEditor
-
         editor = WordEditor(model.pres, model.power_word(cycle, n))
         model.fill_cycle_power(editor, 0, model.null_homotopy(cycle), n)
         editor.free_to(EMPTY)
@@ -289,6 +295,100 @@ def test_inverse_cycle_rejects_unexpected_residue(monkeypatch):
     cyc = (("a", "b"), ("b", "c"), ("c", "a"))
     with pytest.raises(InternalCheckError):
         bb_relator_scheme(K3, K3_TREE, "inverse-efg", cyc, 1, model)
+
+
+class _NoMembers(dict):
+    """A relator index that answers every membership test with no; lookups
+    by key still work."""
+
+    def __contains__(self, key):
+        return False
+
+
+def test_inverse_cycle_rejects_a_residue_that_does_not_collapse(monkeypatch):
+    # the closing relators are found by membership in the relator index;
+    # without them the four-letter residue is left, an emitter defect (exit
+    # 4), not a usage error
+    model = BBModel(K3, K3_TREE)
+    monkeypatch.setattr(model.pres, "_relator_index",
+                        _NoMembers(model.pres.relator_index))
+    cyc = (("a", "b"), ("b", "c"), ("c", "a"))
+    with pytest.raises(InternalCheckError, match="did not collapse") as info:
+        bb_relator_scheme(K3, K3_TREE, "inverse-efg", cyc, 1, model)
+    assert not isinstance(info.value, ValueError)
+
+
+# the search two_step_filling must agree with: intermediate words of at most
+# 8 letters, area at most 4
+FILL_BUDGET = SearchBudget(max_word_length=8, max_states=300_000, max_area=4)
+
+
+def _fills_as_the_search_does(pres, pairs):
+    """Check two_step_filling against area_exact on [a, b] for each letter
+    pair; return how many pairs the search gave each area."""
+    areas = {}
+    for a, b in pairs:
+        w = Word((a, b, a.inverse(), b.inverse()))
+        res = area_exact(pres, w, FILL_BUDGET)
+        areas[res.area] = areas.get(res.area, 0) + 1
+        want = res.witness if res.kind == "area" and res.area == 2 else None
+        assert two_step_filling(pres, w) == want, (a, b)
+    return areas
+
+
+def test_two_step_fill_is_the_search_witness_on_k3():
+    pres = dicks_leary_presentation(K3)
+    letters = [Letter(gen, sign) for gen in pres.generators for sign in (1, -1)]
+    pairs = [(a, b) for a in letters for b in letters if a.gen != b.gen]
+    # the 48 of area 4 are edges sharing an endpoint, not consecutive in a
+    # cycle: two_step_filling returns None for them
+    assert _fills_as_the_search_does(pres, pairs) == {2: 72, 4: 48}
+
+
+def test_two_step_fill_is_the_search_witness_on_the_octahedron():
+    pairs = set()
+    for cyc in _triangle_cycles(OCTA):
+        for k in range(3):
+            for sign in (1, -1):
+                a = OCTA.edge_letter(cyc[k], sign)
+                b = OCTA.edge_letter(cyc[(k + 1) % 3], sign)
+                pairs.update({(a, b), (b, a)})
+    pres = dicks_leary_presentation(OCTA)
+    assert _fills_as_the_search_does(pres, sorted(pairs)) == {2: 192}
+
+
+def test_two_step_fill_declines_words_of_smaller_area():
+    # the empty word has area 0 and each relator area 1
+    pres = dicks_leary_presentation(K3)
+    for w in (EMPTY,) + pres.relators:
+        assert two_step_filling(pres, w) is None
+    # x^2 has area 1, though x^4 and x^-2, both insertions, are one edge away
+    pres = GroupPresentation(["x"], [word("x x"), word("x x x x")])
+    assert area_exact(pres, word("x x")).area == 1
+    assert two_step_filling(pres, word("x x")) is None
+
+
+def test_swap_rejects_letters_without_a_two_relator_fill():
+    # a_b and a_c leave the same vertex, so they follow each other in no
+    # cycle; their commutator has area 4, and no emitter swaps them
+    model = BBModel(K3, K3_TREE)
+    editor = WordEditor(model.pres, word("a_b a_c"))
+    with pytest.raises(ValueError, match="no small commutator fill"):
+        model.swap(editor, 0)
+
+
+@pytest.mark.parametrize("delta,tree,bound", [(K3, K3_TREE, 1), (OCTA, OCTA_TREE, 0)],
+                         ids=["K3", "octahedron"])
+def test_emission_runs_no_area_search(monkeypatch, delta, tree, bound):
+    def search(*args):
+        raise AssertionError("emission ran an area search")
+
+    monkeypatch.setattr(oracle, "_area", search)
+    # rarea_sample emits every member's scheme on a fresh model and replays it
+    rows = rarea_sample(delta, tree, bound)
+    assert rows and all(row["upper"] <= row["bound"] for row in rows)
+    with pytest.raises(AssertionError, match="area search"):
+        rarea_sample(delta, tree, 0, exact=True)
 
 
 @pytest.mark.parametrize("end", [0, 1])

@@ -375,8 +375,8 @@ def test_scheme_emission_walks_nothing(complex_, monkeypatch):
     model = bb.BBModel(delta, tree)
     cases = [(kind, args, n)
              for kind, args in one_member_of_each_kind(model) for n in range(-2, 3)]
-    # the commutator fills come from exact searches, which replay their own
-    # witnesses; a first emission fills the model's cache of them
+    # each commutator fill is replayed once when it is built; a first
+    # emission fills the model's cache of them
     warm = [bb.bb_relator_scheme(delta, tree, kind, args, n, model)
             for kind, args, n in cases]
     with monkeypatch.context() as patch:

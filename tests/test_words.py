@@ -54,6 +54,17 @@ def test_inverse_involution():
     assert len(w.inverse()) == len(w)
 
 
+def test_letter_inverse_is_built_once():
+    for let in (Letter("x", 1), Letter("y_z", -1)):
+        inv = let.inverse()
+        fresh = Letter(let.gen, -let.sign)
+        assert (inv, hash(inv), repr(inv), str(inv)) == (
+            fresh, hash(fresh), repr(fresh), str(fresh))
+        assert type(inv) is Letter
+        assert let.inverse() is inv
+        assert inv.inverse() == let
+
+
 def test_free_reduce_cancellation():
     assert free_reduce(word("x x' y")) == word("y")
     assert free_reduce(word("x y x' y'")) == word("x y x' y'")
