@@ -29,7 +29,7 @@ from .rewriting import (
     reverse_sequence,
 )
 from .seqbuild import WordEditor
-from .words import EMPTY, Letter, Word, concat, free_reduce, word, wpow
+from .words import EMPTY, GENERATOR_NAME, Letter, Word, concat, free_reduce, word, wpow
 
 __all__ = [
     "FlagComplex",
@@ -65,10 +65,14 @@ class FlagComplex:
     def __init__(self, vertices: Sequence[str], edges: Iterable[Tuple[str, str]],
                  base: Optional[str] = None):
         self.vertices = tuple(dict.fromkeys(vertices))
+        if not self.vertices:
+            raise ValueError("a flag complex needs at least one vertex")
         for v in self.vertices:
             # edge letters are named u_v and split at the first underscore
             if "_" in v:
                 raise ValueError(f"vertex name {v!r} contains '_'")
+            if not GENERATOR_NAME.match(v):
+                raise ValueError(f"vertex name {v!r} is not a generator name")
         vset = set(self.vertices)
         pairs = set()
         for u, v in edges:

@@ -14,7 +14,7 @@ from .rewriting import (
     Scheme,
     SchemeRow,
 )
-from .words import ChargeMap, Word, word
+from .words import GENERATOR_NAME, ChargeMap, Word, word
 
 __all__ = [
     "load_presentation",
@@ -34,7 +34,7 @@ def load_presentation(data, what: str = "presentation") -> GroupPresentation:
     ``relators`` may be left out."""
     data = _object(data, what)
     return GroupPresentation(
-        _field(data, what, "generators", _is_strings, "a list of strings"),
+        _names(data, what, "generators"),
         _words(data, what, "relators", default=()),
     )
 
@@ -75,6 +75,17 @@ def _is_ints(value) -> bool:
 
 def _is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _names(data: dict, what: str, name: str) -> list:
+    """A list of distinct generator names."""
+    names = _field(data, what, name, _is_strings, "a list of strings")
+    for i, v in enumerate(names):
+        if not GENERATOR_NAME.match(v):
+            raise ValueError(f"{what} field {name!r}: {v!r} is not a generator name")
+        if v in names[:i]:
+            raise ValueError(f"{what} field {name!r}: {v!r} is repeated")
+    return names
 
 
 def _int(data: dict, what: str, name: str) -> int:
@@ -203,7 +214,7 @@ def load_flag_complex(data) -> FlagComplex:
         "a list of vertex pairs",
     )
     return FlagComplex(
-        _field(data, what, "vertices", _is_strings, "a list of strings"),
+        _names(data, what, "vertices"),
         [tuple(e) for e in edges],
         _field(data, what, "base", lambda v: v is None or isinstance(v, str),
                "a vertex name", default=None),

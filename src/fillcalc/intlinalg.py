@@ -3,11 +3,12 @@ rank over Q, determinants, and unimodular column adaptation."""
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 __all__ = [
     "NotSurjectiveError",
     "hermite_rows",
+    "coset",
     "in_lattice",
     "rank",
     "det_int",
@@ -52,16 +53,21 @@ def hermite_rows(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     return basis
 
 
-def in_lattice(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    """Whether vec lies in the integer span of a hermite_rows basis."""
+def coset(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> Tuple[int, ...]:
+    """The canonical representative of vec modulo the integer span of a
+    hermite_rows basis: each pivot entry reduced into [0, pivot)."""
     v = list(map(int, vec))
     for row in basis:
         col = next(i for i, a in enumerate(row) if a != 0)
-        if v[col] % row[col] != 0:
-            return False
         q = v[col] // row[col]
-        v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def in_lattice(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
+    """Whether vec lies in the integer span of a hermite_rows basis."""
+    return not any(coset(basis, vec))
 
 
 def rank(rows: Sequence[Sequence[int]]) -> int:

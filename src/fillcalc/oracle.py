@@ -9,6 +9,7 @@ budget's word-length cap; exhaustion is a distinguishable outcome.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -751,13 +752,16 @@ def find_filling(
 
 @dataclass(frozen=True)
 class DehnStats:
-    """Where a Dehn sweep's words went: every enumerated word is rejected
-    as not cyclically reduced, rejected by the relator lattice, a cyclic
-    duplicate of a word already checked, decided through a symmetry of the
-    presentation (``symmetric``: its class is the image of a searched one),
-    or searched.  ``search_states`` sums the searches' ``states``;
-    ``empty_side_states`` counts the states grown on the empty-word side,
-    which the searches of one cap share."""
+    """Where a Dehn sweep's words went.  A prefix farther (L1) from the
+    relator lattice than its letters left can close is ``pruned`` with its
+    subtree, which holds no null-homotopic word.  Every other word is
+    ``enumerated``, and then rejected as not cyclically reduced, rejected
+    as off the relator lattice, a cyclic duplicate of a word already met,
+    decided through a symmetry of the presentation (``symmetric``: its
+    class is the image of a searched one), or searched.
+    ``search_states`` sums the searches' ``states``; ``empty_side_states``
+    counts the states grown on the empty-word side, which the searches of
+    one cap share."""
 
     enumerated: int = 0
     not_cyclically_reduced: int = 0
@@ -767,6 +771,7 @@ class DehnStats:
     searched: int = 0
     search_states: int = 0
     empty_side_states: int = 0
+    pruned: int = 0
 
 
 @dataclass(frozen=True)
@@ -787,26 +792,75 @@ def _cyclic_key(s: str, inv: Mapping[str, str]) -> str:
     return min(variants)
 
 
-def _reduced_words(coder: _Coder, length: int) -> Iterable[Tuple[str, int]]:
-    """Every nonempty freely reduced encoded word of length <= ``length``,
-    depth first: a word, then each one-letter extension in code order, so
-    the words of one length come in lexicographic code order.
+def _lattice_distance(coder: _Coder, radius: int) -> Callable[[Sequence[int]], int]:
+    """The L1 distance from an integer vector to the relator lattice, or
+    ``radius + 1`` for anything farther: one breadth-first search, with
+    steps ±e_i, over the canonical coset representatives
+    (``intlinalg.coset``) from the coset of 0, since the distance depends
+    only on the coset."""
+    zero = intlinalg.coset(coder.basis, [0] * (len(coder.letters) // 2))
+    dist = {zero: 0}
+    level = [zero]
+    for d in range(1, radius + 1):
+        reached = []
+        for v in level:
+            for pos, sign in coder.abelian:
+                u = list(v)
+                u[pos] += sign
+                u = intlinalg.coset(coder.basis, u)
+                if u not in dist:
+                    dist[u] = d
+                    reached.append(u)
+        level = reached
+    return lambda v: dist.get(intlinalg.coset(coder.basis, v), radius + 1)
 
-    Each word comes with its abelian vector packed into one integer, kept
-    per prefix: digit g, in balanced base 2 * length + 1, is the exponent
-    sum of generator g, so equal integers mean equal vectors.
+
+def _reduced_words(coder: _Coder, length: int, counts: Counter) -> Iterable[str]:
+    """The words a Dehn sweep decides: every nonempty, cyclically reduced
+    encoded word of length <= ``length`` on the relator lattice, depth
+    first (a word, then each one-letter extension in code order), so the
+    words of one length come in lexicographic code order.
+
+    A null-homotopic word has abelian image 0, so a prefix farther (L1)
+    from the lattice than the letters left is cut with its subtree.  Each
+    prefix's vector is packed into one integer (digit g, in balanced base
+    2 * length + 1, is the exponent sum of generator g), and its distance
+    is memoised per packed vector.  ``counts`` (a ``Counter``) tallies the
+    words under the names of the ``DehnStats`` fields they count.
     """
     radix = 2 * length + 1
     step = {chr(c): sign * radix**pos for c, (pos, sign) in enumerate(coder.abelian)}
     inv = coder.inv
     codes = sorted(step, reverse=True)
-    stack = [(c, step[c]) for c in codes] if length else []
+    distance = _lattice_distance(coder, length)
+    dist = {0: 0}
+    # the empty word is the root, and no word
+    stack = [("", 0)]
     while stack:
         s, vec = stack.pop()
-        yield s, vec
-        if len(s) < length:
-            back = inv[s[-1]]
-            stack.extend([(s + c, vec + step[c]) for c in codes if c != back])
+        if s:
+            counts["enumerated"] += 1
+            if inv[s[0]] == s[-1]:
+                counts["not_cyclically_reduced"] += 1
+            elif dist[vec]:
+                counts["off_lattice"] += 1
+            else:
+                yield s
+        left = length - len(s)
+        if not left:
+            continue
+        back = inv[s[-1]] if s else ""
+        for c in codes:
+            if c == back:
+                continue
+            t, v = s + c, vec + step[c]
+            d = dist.get(v)
+            if d is None:
+                d = dist[v] = distance(coder.abelian_vector(t))
+            if d < left:
+                stack.append((t, v))
+            else:
+                counts["pruned"] += 1
 
 
 def dehn_sample(
@@ -814,10 +868,9 @@ def dehn_sample(
 ) -> DehnSample:
     """Max area over null-homotopic words of length <= the given bound.
 
-    Enumerates cyclically reduced words (area is invariant under cyclic
-    conjugation, inversion and free reduction, so one representative per
-    class suffices), filters by the abelianized-relator lattice, and decides
-    each survivor as area_exact does.  A class that a symmetry of the
+    Decides each word ``_reduced_words`` yields as area_exact does, one per
+    cyclic class (area is invariant under cyclic conjugation, inversion and
+    free reduction).  A class that a symmetry of the
     presentation (``_Coder.symmetries``) carries onto a searched class has
     that class's verdict and area, so it is counted in ``words_checked``
     but not searched; its area never exceeds the maximum already found, so
@@ -834,56 +887,35 @@ def dehn_sample(
     clock = _Clock(budget)
     # the images of the searched classes
     decided = set()
-    lattice: Dict[int, bool] = {}
     balls: Dict[int, _Ball] = {}
     kind = "value"
-    enumerated = not_reduced = off_lattice = duplicates = symmetric = 0
-    searched = states = 0
-    for s, vec in _reduced_words(coder, length):
-        enumerated += 1
+    counts: Counter = Counter()
+    for s in _reduced_words(coder, length, counts):
         if clock.expired():
             kind = "budget-exhausted"
             break
-        if inv[s[0]] == s[-1]:
-            not_reduced += 1
-            continue
-        ok = lattice.get(vec)
-        if ok is None:
-            ok = intlinalg.in_lattice(coder.basis, coder.abelian_vector(s))
-            lattice[vec] = ok
-        if not ok:
-            off_lattice += 1
-            continue
-        # a class's words all pass the filters above and have one length,
-        # so the first of them enumerated is its key
+        # a class's words are all yielded and have one length, so the first
+        # of them yielded is its key
         key = _cyclic_key(s, inv)
         if key != s:
-            duplicates += 1
+            counts["cyclic_duplicates"] += 1
             continue
         if key in decided:
-            symmetric += 1
+            counts["symmetric"] += 1
             continue
         w = coder.decode(s)
         result = _area(pres, w, budget, balls)
-        searched += 1
-        states += result.states
+        counts["searched"] += 1
+        counts["search_states"] += result.states
         if result.kind == "budget-exhausted":
             kind = "budget-exhausted"
             break
         if result.kind == "area" and result.area > best:
             best, best_witness = result.area, w
         decided.update(_cyclic_key(s.translate(phi), inv) for phi in coder.symmetries())
-    stats = DehnStats(
-        enumerated,
-        not_reduced,
-        off_lattice,
-        duplicates,
-        symmetric,
-        searched,
-        states,
-        sum(len(ball.dist) for ball in balls.values()),
-    )
-    checked = searched + symmetric
+    counts["empty_side_states"] = sum(len(ball.dist) for ball in balls.values())
+    stats = DehnStats(**counts)
+    checked = stats.searched + stats.symmetric
     if kind == "budget-exhausted":
         return DehnSample(kind, words_checked=checked, stats=stats)
     return DehnSample(kind, best, best_witness, checked, stats)

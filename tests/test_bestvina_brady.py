@@ -71,6 +71,16 @@ def test_flag_complex_rejects_underscore_vertex():
         FlagComplex(["a_1", "b"], [("a_1", "b")])
 
 
+@pytest.mark.parametrize("vertices, message", [
+    ([], "at least one vertex"),
+    (["a b", "c"], "'a b' is not a generator name"),
+    (["1", "c"], "'1' is not a generator name"),
+], ids=["no-vertex", "space", "digit-first"])
+def test_flag_complex_rejects_vertices_that_name_no_generators(vertices, message):
+    with pytest.raises(ValueError, match=message):
+        FlagComplex(vertices, [])
+
+
 def test_tree_path_rejects_a_second_root():
     tree = spanning_tree(K3)
     leaf = next(v for v, p in tree.parent.items() if p is not None)

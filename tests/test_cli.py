@@ -480,6 +480,16 @@ def test_construct_rejects_a_flag_of_another_target(tmp_path, capsys, argv, take
     pytest.param({"generators": ["x"], "relators": ["x!"]},
                  "'relators': bad generator token", id="relator-bad-token"),
     pytest.param(["x"], "must be a JSON object", id="not-an-object"),
+    pytest.param({"generators": ["x'"]}, "'generators': \"x'\" is not a generator name",
+                 id="generator-primed"),
+    pytest.param({"generators": ["x y"]}, "'generators': 'x y' is not a generator name",
+                 id="generator-with-space"),
+    pytest.param({"generators": [""]}, "'generators': '' is not a generator name",
+                 id="generator-empty"),
+    pytest.param({"generators": ["1"]}, "'generators': '1' is not a generator name",
+                 id="generator-empty-word-token"),
+    pytest.param({"generators": ["x", "x"], "relators": ["x x"]},
+                 "'generators': 'x' is repeated", id="generator-repeated"),
 ])
 @pytest.mark.parametrize("command", [["dehn", "--length", "2"], ["area", "--word", "x"]],
                          ids=["dehn", "area"])
@@ -507,6 +517,12 @@ def test_dehn_rejects_negative_length(z2, capsys):
                  "'vertices' must be a list of strings", id="vertices-string"),
     pytest.param({"vertices": ["a"], "edges": [], "base": 1},
                  "'base' must be a vertex name", id="base-number"),
+    pytest.param({"vertices": [], "edges": []}, "needs at least one vertex",
+                 id="no-vertex"),
+    pytest.param({"vertices": ["a b", "c"], "edges": [["a b", "c"]]},
+                 "'vertices': 'a b' is not a generator name", id="vertex-with-space"),
+    pytest.param({"vertices": ["a", "b", "a"], "edges": [["a", "b"]]},
+                 "'vertices': 'a' is repeated", id="vertex-repeated"),
 ])
 def test_malformed_flag_complex_is_a_usage_error(tmp_path, capsys, data, field):
     path = tmp_path / "bad.json"
