@@ -258,27 +258,21 @@ class SpanningTree:
     def __init__(self, delta: FlagComplex):
         self.delta = delta
         self.parent = delta._bfs(delta.base)
+        # each vertex's tree edges from the base; the walk reaches a parent
+        # before its children
+        self.root_paths: Dict[str, Tuple[Edge, ...]] = {}
+        for v, p in self.parent.items():
+            self.root_paths[v] = () if p is None else self.root_paths[p] + ((p, v),)
 
     def path(self, u: str, v: str) -> List[Edge]:
         """Directed edges of the unique reduced tree path from u to v."""
-        if u not in self.parent or v not in self.parent:
+        if u not in self.root_paths or v not in self.root_paths:
             raise ValueError(f"unknown vertex in ({u!r}, {v!r})")
-        up, vp = [u], [v]
-        while self.parent[up[-1]] is not None:
-            up.append(self.parent[up[-1]])
-        while self.parent[vp[-1]] is not None:
-            vp.append(self.parent[vp[-1]])
-        while len(up) > 1 and len(vp) > 1 and up[-2] == vp[-2]:
-            up.pop()
-            vp.pop()
-        if up[-1] != vp[-1]:
-            # distinct roots cannot happen in one tree
-            raise InternalCheckError(
-                f"disconnected tree: {u!r} and {v!r} have distinct roots"
-            )
-        out = [(up[i], up[i + 1]) for i in range(len(up) - 1)]
-        out.extend((vp[i + 1], vp[i]) for i in reversed(range(len(vp) - 1)))
-        return out
+        up, vp = self.root_paths[u], self.root_paths[v]
+        c = 0
+        while c < min(len(up), len(vp)) and up[c] == vp[c]:
+            c += 1
+        return [(b, a) for a, b in reversed(up[c:])] + list(vp[c:])
 
 
 def spanning_tree(delta: FlagComplex) -> SpanningTree:
@@ -530,7 +524,7 @@ class BBModel:
         return self.delta.diameter()
 
     def depth(self, v: str) -> int:
-        return len(self.tree.path(self.delta.base, v))
+        return len(self.tree.root_paths[v])
 
     # -- transpositions ---------------------------------------------------
 

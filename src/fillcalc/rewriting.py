@@ -264,24 +264,16 @@ class DerivationSequence:
         return DerivationSequence(self.start, self.moves + other.moves)
 
 
-# a run of letters, read inverted (reversed, each letter inverted) when flagged
-_Piece = Tuple[Sequence[Letter], bool]
-# one side of a relator move's context: the plain letters a move was applied
-# next to, or, once spliced or mirrored, a tuple of pieces read in order
-_Side = Union[List[Letter], Tuple[_Piece, ...]]
-
-
 class _Record(NamedTuple):
-    """What applying a sequence's moves showed, kept so that the converters
-    need not apply them again: the final word's letters, and for each move
-    the length of the word it acts on and a note.  A contraction's note is
-    the first letter of the pair it removes, an expansion's is None, and a
-    relator move's is the pair of sides (prefix, suffix) of the word it
-    acts on around the replaced subword."""
+    """What applying a sequence's moves showed, kept so that splicing,
+    mirroring and reversing need not apply them again: the final word's
+    letters, and for each move the length of the word it acts on and the
+    first letter of the pair it removes (None for a move that is not a
+    contraction)."""
 
     final: Tuple[Letter, ...]
     lengths: Tuple[int, ...]
-    notes: tuple
+    removed: Tuple[Optional[Letter], ...]
 
 
 def _recorded(start: Word, moves: Iterable[RewriteMove], record: _Record
@@ -292,42 +284,6 @@ def _recorded(start: Word, moves: Iterable[RewriteMove], record: _Record
     seq = DerivationSequence(start, moves)
     object.__setattr__(seq, "_record", record)
     return seq
-
-
-def _note(pres: GroupPresentation, move: RewriteMove, letters: List[Letter],
-          gone: Optional[Letter]):
-    """The record note of a move just applied to letters, where gone is what
-    ``_apply_move`` returned."""
-    if isinstance(move, ApplyRelator):
-        after = move.pos + len(pres.relators[move.rel]) - move.split
-        return letters[: move.pos], letters[after:]
-    return gone
-
-
-def _pieces(side: _Side) -> Tuple[_Piece, ...]:
-    return ((side, False),) if isinstance(side, list) else side
-
-
-def _side_letters(side: _Side, inverses: Dict[Letter, Letter]) -> Tuple[Letter, ...]:
-    """The letters of a context side; inverted letters are taken from, or
-    added to, the inverses table, so that the words built with one table
-    share their letters."""
-    out: List[Letter] = []
-    for letters, inverted in _pieces(side):
-        if not inverted:
-            out += letters
-            continue
-        for let in reversed(letters):
-            inv = inverses.get(let)
-            if inv is None:
-                inv = inverses[let] = let.inverse()
-            out.append(inv)
-    return tuple(out)
-
-
-def _inverted(side: _Side) -> Tuple[_Piece, ...]:
-    """The side of the inverse word."""
-    return tuple((letters, not inverted) for letters, inverted in reversed(_pieces(side)))
 
 
 @dataclass(frozen=True)
@@ -485,14 +441,14 @@ def _record_of(pres: GroupPresentation, seq: DerivationSequence) -> _Record:
     if seq._record is not None:
         return seq._record
     lengths: List[int] = []
-    notes: list = []
+    removed: List[Optional[Letter]] = []
     letters: Sequence[Letter] = seq.start.letters
     n = len(letters)
-    for move, letters, gone in _walk(pres, seq):
+    for _, letters, gone in _walk(pres, seq):
         lengths.append(n)
-        notes.append(_note(pres, move, letters, gone))
+        removed.append(gone)
         n = len(letters)
-    return _Record(tuple(letters), tuple(lengths), tuple(notes))
+    return _Record(tuple(letters), tuple(lengths), tuple(removed))
 
 
 def _relators_have_zero_charge(pres: GroupPresentation, theta: ChargeMap) -> bool:
@@ -619,11 +575,12 @@ def sequence_to_expression(
 
     Each relator application at a word u r v contributes one term whose
     conjugator is a prefix of the current or the next word; when both prefix
-    decompositions exist the first (current-word) one is chosen.
+    decompositions exist the first (current-word) one is chosen.  The
+    prefixes are read from one walk of the sequence: a move leaves the
+    letters before its position as they were.
     """
     terms: List[Tuple[Word, int, int]] = []
-    inverses: Dict[Letter, Letter] = {}
-    for move, note in zip(seq.moves, _record_of(pres, seq).notes):
+    for move, letters, _ in _walk(pres, seq):
         if isinstance(move, ApplyRelator):
             # the signed relator is p q with |p| = rot, and its rotation q p
             # is replaced followed by replacement^-1: q starts replaced when
@@ -634,7 +591,7 @@ def sequence_to_expression(
                 tail = replaced.letters[:len_q]
             else:
                 tail = replacement.letters[: move.rot]
-            prefix = _side_letters(note[0], inverses)
+            prefix = tuple(letters[: move.pos])
             terms.append((Word._of(prefix + tail), move.rel, move.sign))
     return FillingExpression(terms)
 
@@ -645,11 +602,10 @@ def _mirror(
     """The mirror of a sequence (see ``mirror_sequence``) and the sequence's
     final word.  The mirror of a move on a word of n letters acts on its
     inverse: a contraction of the same letter pair, the expansion of the
-    same letter, and a relator move whose context is the inverted one."""
+    same letter, and the relator move on the inverted subword."""
     rec = _record_of(pres, seq)
     moves: List[RewriteMove] = []
-    notes: list = []
-    for move, n, note in zip(seq.moves, rec.lengths, rec.notes):
+    for move, n in zip(seq.moves, rec.lengths):
         if isinstance(move, FreeContract):
             moves.append(FreeContract(n - move.pos - 2))
         elif isinstance(move, FreeExpand):
@@ -666,10 +622,8 @@ def _mirror(
                     split=move.split,
                 )
             )
-            note = (_inverted(note[1]), _inverted(note[0]))
-        notes.append(note)
     final = Word._of(rec.final)
-    record = _Record(final.inverse().letters, rec.lengths, tuple(notes))
+    record = _Record(final.inverse().letters, rec.lengths, rec.removed)
     return _recorded(seq.start.inverse(), moves, record), final
 
 
@@ -698,19 +652,20 @@ def reverse_sequence(
 ) -> DerivationSequence:
     """Time reversal: a sequence converting tau' back to tau, same area.
     The reverse of a move acts on the word the move made: a contraction
-    becomes the expansion of the letter it removed, and a relator move keeps
-    its context."""
+    becomes the expansion of the letter it removed, an expansion the
+    contraction that removes its letter, and a relator move swaps its
+    halves."""
     rec = _record_of(pres, seq)
     after = (rec.lengths + (len(rec.final),))[1:]
     moves: List[RewriteMove] = []
-    notes: list = []
-    for move, note in zip(reversed(seq.moves), reversed(rec.notes)):
+    removed: List[Optional[Letter]] = []
+    for move, gone in zip(reversed(seq.moves), reversed(rec.removed)):
         if isinstance(move, FreeContract):
-            moves.append(FreeExpand(move.pos, note))
-            note = None
+            moves.append(FreeExpand(move.pos, gone))
+            removed.append(None)
         elif isinstance(move, FreeExpand):
             moves.append(FreeContract(move.pos))
-            note = move.letter
+            removed.append(move.letter)
         else:
             m = len(pres.relators[move.rel])
             moves.append(
@@ -722,8 +677,8 @@ def reverse_sequence(
                     split=m - move.split,
                 )
             )
-        notes.append(note)
-    record = _Record(seq.start.letters, after[::-1], tuple(notes))
+            removed.append(None)
+    record = _Record(seq.start.letters, after[::-1], tuple(removed))
     return _recorded(Word._of(rec.final), moves, record)
 
 
@@ -746,7 +701,10 @@ def splice_sequence(seq: DerivationSequence, offset: int) -> Tuple[RewriteMove, 
 @dataclass(frozen=True)
 class RowReport:
     index: int
-    verdict: str  # "pass" | "not-null-homotopic" | "area-exceeds-claim" | "budget-exhausted"
+    # "pass" | "area-exceeds-claim", or "sequence-mismatch" for a supplied
+    # sequence that does not run from the row's word to the next row's, or
+    # from the search: "not-null-homotopic" | "budget-exhausted"
+    verdict: str
     measured_area: Optional[int] = None
 
 
@@ -787,7 +745,7 @@ def verify_scheme(
                 and freely_equal(acct.endpoints[1], target)
             )
             if not ok:
-                reports.append(RowReport(i, "not-null-homotopic", None))
+                reports.append(RowReport(i, "sequence-mismatch", None))
             elif acct.area > row.area:
                 reports.append(RowReport(i, "area-exceeds-claim", acct.area))
             else:

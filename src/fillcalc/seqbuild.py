@@ -7,25 +7,24 @@ application across commuting generators), block bubbling, and targeted
 cancellation.  Emitters build sequences with these and tests replay them.
 
 The current word is one list of letters, which each move edits in place.
-The editor records what every move showed (see ``rewriting._Record``), so
-that a sequence it emits can be spliced into another editor, mirrored,
-reversed or turned into an expression without applying its moves again.
+The editor records the length of the word each move acts on and the letter
+each contraction removes (see ``rewriting._Record``), so that a sequence it
+emits can be spliced into another editor, mirrored or reversed without
+applying its moves again.  Turning a sequence into an expression walks it
+once.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from .rewriting import (
-    ApplyRelator,
     DerivationSequence,
     FreeContract,
     FreeExpand,
     GroupPresentation,
     InternalCheckError,
     _apply_move,
-    _note,
-    _pieces,
     _Record,
     _recorded,
     find_relator_move,
@@ -48,16 +47,16 @@ class WordEditor:
         self.start = start
         self.letters: List[Letter] = list(start.letters)
         self.moves: List = []
-        # per move: the length of the word it acts on, and its record note
+        # per move: the length of the word it acts on, and the letter it removes
         self._lengths: List[int] = []
-        self._notes: list = []
+        self._removed: List[Optional[Letter]] = []
 
     @property
     def word(self) -> Word:
         return Word._of(tuple(self.letters))
 
     def sequence(self) -> DerivationSequence:
-        record = _Record(tuple(self.letters), tuple(self._lengths), tuple(self._notes))
+        record = _Record(tuple(self.letters), tuple(self._lengths), tuple(self._removed))
         return _recorded(self.start, self.moves, record)
 
     def _emit(self, move) -> None:
@@ -69,7 +68,7 @@ class WordEditor:
             raise InternalCheckError(f"emitted move {len(self.moves)}: {exc}") from exc
         self.moves.append(move)
         self._lengths.append(n)
-        self._notes.append(_note(self.pres, move, letters, gone))
+        self._removed.append(gone)
 
     def contract(self, pos: int) -> None:
         self._emit(FreeContract(pos))
@@ -136,12 +135,7 @@ class WordEditor:
             return
         delta = len(letters) - len(seq.start)
         self._lengths.extend(n + delta for n in rec.lengths)
-        left, right = (letters[:pos], False), (letters[end:], False)
-        self._notes.extend(
-            ((left,) + _pieces(note[0]), _pieces(note[1]) + (right,))
-            if isinstance(move, ApplyRelator) else note
-            for move, note in zip(seq.moves, rec.notes)
-        )
+        self._removed.extend(rec.removed)
         self.moves.extend(moves)
         letters[pos:end] = rec.final
 

@@ -81,12 +81,33 @@ def test_flag_complex_rejects_vertices_that_name_no_generators(vertices, message
         FlagComplex(vertices, [])
 
 
-def test_tree_path_rejects_a_second_root():
-    tree = spanning_tree(K3)
-    leaf = next(v for v, p in tree.parent.items() if p is not None)
-    tree.parent[leaf] = None
-    with pytest.raises(InternalCheckError, match="disconnected tree"):
-        tree.path(leaf, K3.base)
+def parent_walk_path(tree, u, v):
+    """The tree path by walking both vertices up to the base and dropping
+    their common part, as ``SpanningTree.path`` did before it stored root
+    paths."""
+    up, vp = [u], [v]
+    while tree.parent[up[-1]] is not None:
+        up.append(tree.parent[up[-1]])
+    while tree.parent[vp[-1]] is not None:
+        vp.append(tree.parent[vp[-1]])
+    while len(up) > 1 and len(vp) > 1 and up[-2] == vp[-2]:
+        up.pop()
+        vp.pop()
+    out = [(up[i], up[i + 1]) for i in range(len(up) - 1)]
+    out.extend((vp[i + 1], vp[i]) for i in reversed(range(len(vp) - 1)))
+    return out
+
+
+@pytest.mark.parametrize("delta", [K3, OCTA, check_flag("vwxyz", [
+    ("v", "w"), ("w", "x"), ("x", "y"), ("y", "z")])], ids=["K3", "octahedron", "path"])
+def test_tree_path_matches_the_parent_walk(delta):
+    tree = spanning_tree(delta)
+    for u in delta.vertices:
+        assert len(tree.root_paths[u]) == len(parent_walk_path(tree, delta.base, u))
+        for v in delta.vertices:
+            assert tree.path(u, v) == parent_walk_path(tree, u, v)
+    with pytest.raises(ValueError, match="unknown vertex"):
+        tree.path(delta.base, "q")
 
 
 def test_raag_presentation_shapes():

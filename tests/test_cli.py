@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from fillcalc import acceptance, bestvina_brady, oracle, pulldown, rewriting
+from fillcalc import acceptance, bestvina_brady, fileio, oracle, pulldown, rewriting
 from fillcalc.cli import main
-from fillcalc.words import word
+from fillcalc.rewriting import ApplyRelator, DerivationSequence, FreeContract, FreeExpand
+from fillcalc.words import Letter, word
 
 
 @pytest.fixture
@@ -115,6 +116,17 @@ def test_verify_scheme(z2, tmp_path):
     )
     assert code == 0
     assert json.loads(out.read_text())["verdicts"]["total_area"] == 5
+
+
+def test_verify_scheme_budget_exit_code(z2, tmp_path, capsys):
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps({"rows": [{"word": "x x x y y x' x' x' y' y'",
+                                            "area": 6}]}))
+    code = main(["--budget-states", "5", "verify-scheme", "--presentation", z2,
+                 "--scheme", str(scheme)])
+    assert code == 3
+    rows = json.loads(capsys.readouterr().out)["verdicts"]["rows"]
+    assert rows == [{"index": 0, "verdict": "budget-exhausted", "area": None}]
 
 
 def test_verify_scheme_rejects_negative_relator_index(z2, tmp_path):
@@ -618,6 +630,23 @@ def test_well_formed_sequence_still_passes(tmp_path):
                   "moves": [{"op": "expand", "pos": 0, "letter": "x'"},
                             {"op": "contract", "pos": 0}, FILL]}]
     assert _verify_with_sequences(tmp_path, ONE_ROW, sequences) == 0
+
+
+def test_a_sequence_that_misses_its_row_fails_verification(tmp_path, capsys):
+    # [x, y] has area 1, but this sequence starts at x x', not at the row
+    sequences = [{"start": "x x'", "moves": [{"op": "contract", "pos": 0}]}]
+    assert _verify_with_sequences(tmp_path, ONE_ROW, sequences) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts == {"rows": [{"index": 0, "verdict": "sequence-mismatch",
+                                  "area": None}], "total_area": None}
+
+
+def test_a_sequence_round_trips_through_its_file_form():
+    seq = DerivationSequence(word("x y x' y'"), (
+        FreeExpand(0, Letter("x", -1)), FreeContract(0), ApplyRelator(0, 0, 1, 0, 4)))
+    data = json.loads(json.dumps(fileio.dump_sequence(seq)))
+    assert data["moves"][0] == {"op": "expand", "pos": 0, "letter": "x'"}
+    assert fileio.load_sequence(data) == seq
 
 
 @pytest.mark.parametrize("data,field", [

@@ -5,13 +5,15 @@ against a copy of the tuple-based applier it replaced: the same letters
 for a move that applies, the same exception type and message for one that
 does not, and an untouched list after a failure.  Every converter reports a
 bad move at the index the walk reports.  The record that a ``WordEditor``
-keeps (and that the converters derive) must equal what a walk of the same
-moves shows, and emission must walk nothing at all."""
+keeps (and that mirroring and reversing derive) holds the final letters,
+each move's word length and each contraction's removed letter; it must equal
+what a walk of the same moves shows.  Emission must walk nothing at all,
+and turning a sequence into an expression walks it exactly once."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fillcalc import bestvina_brady as bb, rewriting, seqbuild
+from fillcalc import bestvina_brady as bb, pulldown, rewriting, seqbuild
 from fillcalc.pulldown import (
     conjugation_scheme,
     pulldown_expression,
@@ -29,7 +31,6 @@ from fillcalc.rewriting import (
     _apply_move,
     _record_of,
     _relator_halves,
-    _side_letters,
     invert_sequence,
     mirror_sequence,
     replay_sequence,
@@ -233,12 +234,7 @@ def plain(seq):
 
 
 def resolved(record):
-    notes = tuple(
-        (_side_letters(note[0], {}), _side_letters(note[1], {}))
-        if isinstance(note, tuple) and not isinstance(note, Letter) else note
-        for note in record.notes
-    )
-    return tuple(record.final), tuple(record.lengths), notes
+    return tuple(record.final), tuple(record.lengths), tuple(record.removed)
 
 
 def assert_record_matches_a_walk(pres, seq):
@@ -336,7 +332,7 @@ def test_a_failed_splice_or_move_is_an_internal_defect():
 
 
 # ---------------------------------------------------------------------------
-# emission walks nothing
+# emission walks nothing; conversion to an expression walks once
 
 
 def forbid_walks(monkeypatch):
@@ -393,16 +389,25 @@ def test_scheme_emission_walks_nothing(complex_, monkeypatch):
 
 
 def test_pulldown_expression_walks_nothing(monkeypatch):
+    # nothing beyond the one walk of each sequence turned into an expression
     ctx = standard_context(3, 2, 1)
     pres = ctx.presentation
     expr = FillingExpression([(word("e1_1 e2_1'"), 0, 1), (word("e2_3"), 3, -1),
                               (word("e1_2 e1_2"), 5, 1), (EMPTY, 11, -1)])
     w = free_reduce(expr.boundary(pres))
+    converted = []
+
+    def convert(pres, seq):
+        converted.append(seq)
+        return sequence_to_expression(pres, seq)
+
     with monkeypatch.context() as patch:
-        forbid_walks(patch)
+        patch.setattr(pulldown, "sequence_to_expression", convert)
+        calls = count_walks(patch)
         out = pulldown_expression(ctx, 1, expr, w)
     assert out.area > expr.area
+    assert converted and [id(seq) for seq in calls] == [id(seq) for seq in converted]
     calls = count_walks(monkeypatch)
     assert validate_expression(pres, out, w, ctx.theta).area == out.area
-    assert out == pulldown_expression(standard_context(3, 2, 1), 1, expr, w)
     assert calls == []
+    assert out == pulldown_expression(standard_context(3, 2, 1), 1, expr, w)

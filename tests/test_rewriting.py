@@ -15,6 +15,8 @@ from fillcalc.rewriting import (
     GroupPresentation,
     MalformedMoveError,
     NotFreelyEqualError,
+    NotNullError,
+    RowReport,
     Scheme,
     SchemeRow,
     contraction_moves,
@@ -469,6 +471,43 @@ def test_verify_scheme_fails_on_lowered_claim():
     assert not report.passed
     assert report.rows[0].verdict == "area-exceeds-claim"
     assert report.rows[0].measured_area == 2
+
+
+@pytest.mark.parametrize("row,budget,verdict", [
+    pytest.param(SchemeRow(word("x"), 0), SearchBudget(max_word_length=8),
+                 "not-null-homotopic", id="not-null-homotopic"),
+    pytest.param(SchemeRow(SCHEME_WORD, 5), SearchBudget(max_word_length=24, max_states=5),
+                 "budget-exhausted", id="budget-exhausted"),
+])
+def test_verify_scheme_by_search_reports_a_row_it_cannot_pass(row, budget, verdict):
+    report = verify_scheme(Z2, Scheme((row,)), budget=budget)
+    assert report.rows == (RowReport(0, verdict, None),)
+    assert not report.passed and report.total_area is None
+
+
+@pytest.mark.parametrize("seq", [
+    pytest.param(DerivationSequence(word("x x'"), (FreeContract(0),)), id="other-start"),
+    pytest.param(DerivationSequence(word("x y x' y'"), ()), id="other-end"),
+])
+def test_verify_scheme_reports_a_sequence_that_misses_its_row(seq):
+    # [x, y] has area 1: the row is null-homotopic, the sequence is at fault
+    scheme = Scheme((SchemeRow(word("x y x' y'"), 1),))
+    report = verify_scheme(Z2, scheme, sequences=[seq])
+    assert report.rows == (RowReport(0, "sequence-mismatch", None),)
+    assert not report.passed and report.total_area is None
+
+
+def test_invert_sequence_needs_a_null_sequence():
+    seq = DerivationSequence(word("x x' y"), (FreeContract(0),))
+    with pytest.raises(NotNullError, match="does not end at the empty word"):
+        invert_sequence(Z2, seq)
+
+
+def test_sequence_area_counts_relator_moves():
+    seq = DerivationSequence(word("x y x' y'"), (
+        FreeExpand(4, Letter("x", 1)), ApplyRelator(0, 0, 1, 0, 4), FreeContract(0)))
+    assert seq.area == 1 == replay_sequence(Z2, seq).area
+    assert DerivationSequence(word("x x'"), (FreeContract(0),)).area == 0
 
 
 def test_contraction_moves_replayable():
