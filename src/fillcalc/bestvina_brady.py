@@ -279,13 +279,15 @@ def spanning_tree(delta: FlagComplex) -> SpanningTree:
     return SpanningTree(delta)
 
 
+def _power_word(delta: FlagComplex, edges: Iterable[Edge], k: int) -> Word:
+    """Each edge's letter raised to the k-th power, in order."""
+    return concat(*(wpow(Word((delta.edge_letter(e),)), k) for e in edges))
+
+
 def tree_word(delta: FlagComplex, tree: SpanningTree, n: int, u: str, v: str) -> Word:
     """Each tree edge of the geodesic path from u to v raised to the n-th
     power, in path order."""
-    letters: List[Letter] = []
-    for e in tree.path(u, v):
-        letters.extend(wpow(Word((delta.edge_letter(e),)), n).letters)
-    return Word(letters)
+    return _power_word(delta, tree.path(u, v), n)
 
 
 def bb_phi(delta: FlagComplex, tree: SpanningTree, n: int, w: Word) -> Word:
@@ -303,13 +305,14 @@ def bb_phi(delta: FlagComplex, tree: SpanningTree, n: int, w: Word) -> Word:
     return Word(out)
 
 
+def _conjugation_edges(delta: FlagComplex, tree: SpanningTree, e: Edge) -> List[Edge]:
+    """The tree path from the base to e's start, then e, then the path back."""
+    return tree.path(delta.base, e[0]) + [e] + tree.path(e[0], delta.base)
+
+
 def edge_conjugation_word(delta: FlagComplex, tree: SpanningTree, e: Edge) -> Word:
     """The positive-normal-form conjugation word of a directed edge."""
-    return concat(
-        tree_word(delta, tree, 1, delta.base, e[0]),
-        Word((delta.edge_letter(e),)),
-        tree_word(delta, tree, 1, e[0], delta.base),
-    )
+    return _power_word(delta, _conjugation_edges(delta, tree, e), 1)
 
 
 def bb_indexed_families(
@@ -541,12 +544,10 @@ class BBModel:
         return self._swap_fills[key]
 
     def swap(self, editor: WordEditor, pos: int) -> None:
-        """Transpose editor letters at pos, pos+1 by splicing a minimal
-        commutator filling (two relator moves for triangle letters)."""
+        """Transpose editor letters of distinct generators at pos, pos+1 by
+        splicing a minimal commutator filling (two relator moves for
+        triangle letters)."""
         a, b = editor.letters[pos], editor.letters[pos + 1]
-        if a.gen == b.gen:
-            editor.swap(pos)
-            return
         fill = self._commutator_fill(a, b)
         editor.insert_cancelling(pos + 2, Word._of((a.inverse(), b.inverse())))
         editor.apply_subsequence(pos, fill)
@@ -573,6 +574,22 @@ class BBModel:
         letters at pos), nested centre-out."""
         for d in range(depth):
             self.collapse_pair_power(editor, pos + (depth - 1 - d) * abs(k), k)
+
+    def collapse_junctions(self, editor: WordEditor, pos: int, edges: Sequence[Edge],
+                           n: int) -> None:
+        """Cancel the mutual tree paths at every junction of the shifted
+        edges at pos, right to left.  The shift of an edge x is spelled
+        P(iota x, n) x^(n+1) Q(tau x, n); at a junction, where one edge ends
+        at the next edge's start, Q of the one meets P of the next."""
+        m, span = abs(n), abs(n + 1)
+        q_at = []  # where each edge's Q block starts
+        for x in edges:
+            pos += self.depth(x[0]) * m + span
+            q_at.append(pos)
+            pos += self.depth(x[1]) * m
+        for j in range(len(edges) - 2, -1, -1):
+            if edges[j][1] == edges[j + 1][0]:
+                self.collapse_mutual_paths(editor, q_at[j], self.depth(edges[j][1]), n)
 
     def collapse_triangle_power(self, editor: WordEditor, pos: int,
                                 cyc: Tuple[Edge, Edge, Edge], k: int) -> None:
@@ -602,7 +619,7 @@ class BBModel:
         editor.apply_subsequence(pos, reverse_sequence(self.pres, sub.sequence()))
 
     def power_word(self, cycle: Sequence[Edge], k: int) -> Word:
-        return concat(*(wpow(Word((self.delta.edge_letter(e),)), k) for e in cycle))
+        return _power_word(self.delta, cycle, k)
 
     def insert_pair_power(self, editor: WordEditor, pos: int, e: Edge, k: int) -> None:
         let = self.delta.edge_letter(e, 1 if k >= 0 else -1)
@@ -690,7 +707,8 @@ def bb_relator_scheme(delta: FlagComplex, tree: SpanningTree, kind: str, args,
     triangle cycle; the measured area stays within scheme_bound(kind, n).
     Arguments of the wrong shape raise ValueError before anything is
     emitted."""
-    emitters = {"e-ebar": _scheme_edge_pair, "efg": _scheme_cycle,
+    emitters = {"e-ebar": lambda model, e, n: _scheme_closed(model, (e, e[::-1]), n),
+                "efg": _scheme_closed,
                 "inverse-efg": _scheme_inverse_cycle, "stable": _scheme_stable}
     if kind not in emitters:
         raise ValueError(f"unknown scheme kind {kind!r}")
@@ -706,50 +724,29 @@ def bb_relator_scheme(delta: FlagComplex, tree: SpanningTree, kind: str, args,
     return emitters[kind](model, args, n)
 
 
-def _scheme_edge_pair(model: BBModel, e: Edge, n: int) -> DerivationSequence:
-    delta, tree = model.delta, model.tree
-    ebar = (e[1], e[0])
-    w = concat(
-        bb_phi(delta, tree, n, Word((delta.edge_letter(e),))),
-        bb_phi(delta, tree, n, Word((delta.edge_letter(ebar),))),
-    )
+def _scheme_closed(model: BBModel, walk: Sequence[Edge], n: int) -> DerivationSequence:
+    """Fill the shift of a closed edge walk: (e, ebar) or a triangle cycle.
+    Cancel the paths at its junctions, collapse the centre power, then the
+    outer paths."""
+    delta = model.delta
+    w = bb_phi(delta, model.tree, n, Word(tuple(delta.edge_letter(e) for e in walk)))
     editor = WordEditor(model.pres, w)
-    m = abs(n)
-    span = abs(n + 1)
-    d_i, d_t = model.depth(e[0]), model.depth(e[1])
-    model.collapse_mutual_paths(editor, d_i * m + span, d_t, n)
-    model.collapse_pair_power(editor, d_i * m, n + 1)
-    model.collapse_mutual_paths(editor, 0, d_i, n)
-    editor.free_to(EMPTY)
-    return editor.sequence()
-
-
-def _scheme_cycle(model: BBModel, cyc: Tuple[Edge, Edge, Edge], n: int
-                  ) -> DerivationSequence:
-    delta, tree = model.delta, model.tree
-    m = abs(n)
-    span = abs(n + 1)
-    w = concat(*(bb_phi(delta, tree, n, Word((delta.edge_letter(e),))) for e in cyc))
-    editor = WordEditor(model.pres, w)
-    depths = [model.depth(e[0]) for e in cyc]
-    # interior junctions: Q(tau_i) P(iota_{i+1}) at the same vertex
-    pos = depths[0] * m + span
-    pos2 = pos + 2 * depths[1] * m + span
-    model.collapse_mutual_paths(editor, pos2, depths[2], n)
-    model.collapse_mutual_paths(editor, pos, depths[1], n)
-    # now P(iota_0) x0^{n+1} x1^{n+1} x2^{n+1} Q(iota_0)
-    model.collapse_triangle_power(editor, depths[0] * m, cyc, n + 1)
-    model.collapse_mutual_paths(editor, 0, depths[0], n)
+    model.collapse_junctions(editor, 0, walk, n)
+    # now P(iota_0, n) x0^{n+1} ... x_last^{n+1} Q(iota_0, n)
+    depth = model.depth(walk[0][0])
+    if len(walk) == 2:
+        model.collapse_pair_power(editor, depth * abs(n), n + 1)
+    else:
+        model.collapse_triangle_power(editor, depth * abs(n), walk, n + 1)
+    model.collapse_mutual_paths(editor, 0, depth, n)
     editor.free_to(EMPTY)
     return editor.sequence()
 
 
 def _scheme_inverse_cycle(model: BBModel, cyc: Tuple[Edge, Edge, Edge], n: int
                           ) -> DerivationSequence:
-    delta, tree = model.delta, model.tree
-    w = concat(
-        *(bb_phi(delta, tree, n, Word((delta.edge_letter(e, -1),))) for e in cyc)
-    )
+    delta = model.delta
+    w = bb_phi(delta, model.tree, n, Word(tuple(delta.edge_letter(e, -1) for e in cyc)))
     editor = WordEditor(model.pres, w)
     if n == 0:
         editor.relator(0, w, EMPTY)
@@ -857,36 +854,19 @@ def _fill_inverse_core(model: BBModel, editor: WordEditor,
 
 def _scheme_stable(model: BBModel, e: Edge, n: int) -> DerivationSequence:
     delta, tree = model.delta, model.tree
-    m = abs(n)
     span1 = abs(n + 1)
     span2 = abs(n + 2)
     let = delta.edge_letter(e)
-    we = edge_conjugation_word(delta, tree, e)
-    w = concat(
-        bb_phi(delta, tree, n + 1, Word((let,))),
-        bb_phi(delta, tree, n, we).inverse(),
-    )
+    conj = _conjugation_edges(delta, tree, e)
+    shifted = bb_phi(delta, tree, n, _power_word(delta, conj, 1))
+    w = concat(bb_phi(delta, tree, n + 1, Word((let,))), shifted.inverse())
     editor = WordEditor(model.pres, w)
     d_i, d_t = model.depth(e[0]), model.depth(e[1])
 
     # the translate of the conjugation word collapses, junction by junction,
     # to P(iota, n+1) e Q(iota, n+1); do it forward, then mirror-splice
-    fwd = WordEditor(model.pres, bb_phi(delta, tree, n, we))
-    path_edges = tree.path(delta.base, e[0])
-    letters = list(path_edges) + [e] + [(b, a) for a, b in path_edges[::-1]]
-    lengths = [
-        (model.depth(x[0]) * m, span1, model.depth(x[1]) * m) for x in letters
-    ]
-    offsets = []
-    total = 0
-    for li in lengths:
-        offsets.append(total)
-        total += sum(li)
-    for j in range(len(letters) - 2, -1, -1):
-        if letters[j][1] != letters[j + 1][0]:
-            continue  # the seam between the edge and the return path
-        junction = offsets[j] + lengths[j][0] + lengths[j][1]
-        model.collapse_mutual_paths(fwd, junction, model.depth(letters[j][1]), n)
+    fwd = WordEditor(model.pres, shifted)
+    model.collapse_junctions(fwd, 0, conj, n)
     # fwd is now P(iota, n+1) e^{n+1} [Q(tau, n) P(iota, n)] Q(iota, n+1)
     model.rewrite_pair_to_edge_power(
         fwd, d_i * span1 + span1, e, n, inverted=False
@@ -898,11 +878,10 @@ def _scheme_stable(model: BBModel, e: Edge, n: int) -> DerivationSequence:
             tree_word(delta, tree, n + 1, e[0], delta.base),
         )
     )
-    mirrored = mirror_sequence(model.pres, fwd.sequence())
-    editor.apply_subsequence(d_i * span1 + span2 + d_t * span1, mirrored)
+    pos_q = d_i * span1 + span2 + d_t * span1
+    editor.apply_subsequence(pos_q, mirror_sequence(model.pres, fwd.sequence()))
 
     # word: P(i,n+1) e^{n+2} Q(t,n+1) Q(i,n+1)^-1 e^-1 P(i,n+1)^-1
-    pos_q = d_i * span1 + span2 + d_t * span1
     _convert_reverse_to_inverse(model, editor, pos_q, d_i * span1)
     model.rewrite_pair_to_edge_power(
         editor, d_i * span1 + span2, e, n + 1, inverted=False

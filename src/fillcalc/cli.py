@@ -266,8 +266,16 @@ def _cmd_bounds(args, report) -> int:
                          + ", ".join(map(_flag, wanted)))
     if args.r is not None and args.kind != "area-radius":
         raise ValueError("--r is read only by --kind area-radius")
-    inputs = [parse_bound(getattr(args, f)) for f in wanted]
-    out = compose_bounds(args.kind, *inputs, r=1 if args.r is None else args.r)
+    inputs = []
+    for f in wanted:
+        try:
+            inputs.append(parse_bound(getattr(args, f)))
+        except ValueError as exc:
+            raise ValueError(f"{_flag(f)}: {exc}") from None
+    r = 1 if args.r is None else args.r
+    if r < 0:
+        raise ValueError(f"--r: must be nonnegative, not {r}")
+    out = compose_bounds(args.kind, *inputs, r=r)
     report["verdicts"] = {"canonical": out.canonical(), "expanded": repr(out)}
     return EXIT_PASS
 

@@ -613,10 +613,10 @@ def _area(
         return _witnessed(pres, coder, w, path, states, best[0])
 
     def stop(states: int) -> AreaResult:
-        """A budget cut, possibly inside a level: the meet if the completed
-        levels prove it minimal, else the lower bound they prove."""
+        """A budget cut, possibly inside a level: the meet found in it, else
+        the lower bound the completed levels prove."""
         lower = depth[0] + depth[1] + 1
-        if best is not None and best[0] <= lower:
+        if best is not None:
             return finish(best[1], states)
         return AreaResult("budget-exhausted", lower_bound=lower, states=states)
 
@@ -624,13 +624,11 @@ def _area(
     # search adds them: the two roots, then each state as it is reached
     states = 2
     max_states = budget.max_states
+    # a meet found expanding level d lies at depth e <= reached on the other
+    # side, so it totals at most the lower bound the completed levels prove
     while True:
-        if best is not None and best[0] <= depth[0] + depth[1] + 1:
-            return finish(best[1], states)
         frontier = (sides[0].levels[depth[0]], sides[1].levels[depth[1]])
         if not frontier[0] or not frontier[1]:
-            if best is not None:
-                return finish(best[1], states)
             return AreaResult(
                 "not-null-homotopic", lower_bound=depth[0] + depth[1] + 1, states=states
             )
@@ -669,7 +667,7 @@ def _area(
                 # collapse totals d + 1 + reached >= best, and only a
                 # collapse out of a later state of this level that reaches
                 # the other side at depth <= bound can beat best.
-                bound = min(reached, best[0] - d - 2)
+                bound = best[0] - d - 2
                 if coder.reversible and (
                     bound < 0
                     or not any(
@@ -679,6 +677,8 @@ def _area(
                     )
                 ):
                     return finish(best[1], states)
+        if best is not None:
+            return finish(best[1], states)
         depth[side] = d + 1
 
 

@@ -633,11 +633,14 @@ def parse_bound(text: str) -> BoundExpr:
     def peek() -> str:
         return tokens[idx]
 
+    def shown(tok: str) -> str:
+        return "end of input" if tok == "$" else repr(tok)
+
     def take(expect: Optional[str] = None) -> str:
         nonlocal idx
         tok = tokens[idx]
         if expect is not None and tok != expect:
-            raise ValueError(f"expected {expect!r}, found {tok!r}")
+            raise ValueError(f"expected {shown(expect)}, found {shown(tok)}")
         idx += 1
         return tok
 
@@ -658,7 +661,7 @@ def parse_bound(text: str) -> BoundExpr:
             return BoundExpr.var()
         if tok.isdigit():
             return BoundExpr.const(int(tok))
-        raise ValueError(f"unexpected token {tok!r}")
+        raise ValueError(f"unexpected {shown(tok)}")
 
     def power() -> BoundExpr:
         base = atom()

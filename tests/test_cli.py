@@ -319,6 +319,32 @@ def test_bounds_area_radius_r_defaults_to_one(capsys):
         assert json.loads(capsys.readouterr().out)["verdicts"]["canonical"] == want
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "split", "--beta1", "l +", "--beta2", "l"],
+     "--beta1: unexpected end of input"),
+    (["--kind", "split", "--beta1", "2 * (l", "--beta2", "l"],
+     "--beta1: expected ')', found end of input"),
+    (["--kind", "split", "--beta1", "l", "--beta2", "l)"],
+     "--beta2: expected end of input, found ')'"),
+    (["--kind", "area-radius", "--alpha", "l", "--rho", "l", "--r", "-1"],
+     "--r: must be nonnegative, not -1"),
+    (["--kind", "split", "--beta1", "l^", "--beta2", "l"],
+     "--beta1: exponent must be an integer literal"),
+    (["--kind", "split", "--beta1", "l", "--beta2", "max(l)"],
+     "--beta2: expected ',', found ')'"),
+    (["--kind", "penetration", "--alpha", "l", "--pi", "l % 2", "--rarea", "l"],
+     "--pi: bad bound syntax at ' % 2'"),
+    (["--kind", "area-radius", "--alpha", "l", "--rho", "l^-1"],
+     "--rho: bad bound syntax at '-1'"),
+], ids=["trailing-plus", "open-paren", "extra-paren", "negative-r", "bare-caret",
+        "one-argument-max", "percent", "negative-exponent"])
+def test_a_malformed_bound_names_its_flag(argv, message, capsys):
+    assert main(["bounds"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_fixtures_single(capsys):
     assert main(["fixtures", "run", "--only", "bound-calculators"]) == 0
     captured = capsys.readouterr()
@@ -639,6 +665,28 @@ def test_a_sequence_that_misses_its_row_fails_verification(tmp_path, capsys):
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert verdicts == {"rows": [{"index": 0, "verdict": "sequence-mismatch",
                                   "area": None}], "total_area": None}
+
+
+def test_a_sequence_over_its_claim_fails_verification(tmp_path, capsys):
+    w = word("x y x' y'")
+    presentation = rewriting.GroupPresentation(("x", "y"), (w,))
+    witness = oracle.area_exact(presentation, w).witness
+    scheme = {"rows": [{"word": "x y x' y'", "area": 0}]}
+    assert _verify_with_sequences(tmp_path, scheme, [fileio.dump_sequence(witness)]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts == {"rows": [{"index": 0, "verdict": "area-exceeds-claim",
+                                  "area": 1}], "total_area": None}
+
+
+def test_timing_adds_only_an_integer_timing_ms(z2, tmp_path):
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    argv = ["dehn", "--presentation", z2, "--length", "4"]
+    assert main(["--json", str(plain)] + argv) == 0
+    assert main(["--json", str(timed), "--timing"] + argv) == 0
+    report = json.loads(timed.read_text())
+    timing = report.pop("timing_ms")
+    assert type(timing) is int and timing >= 0
+    assert report == json.loads(plain.read_text())
 
 
 def test_a_sequence_round_trips_through_its_file_form():

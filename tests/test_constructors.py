@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -155,6 +156,16 @@ def test_fiber_generators_abelianization():
     assert [str(w) for w in out["matched"]] == ["u1 u2'", "v1 u2'"]
     assert [str(w) for w in out["kernel"]] == ["u2 v2'"]
     assert out["relators"] == []
+
+
+def test_fiber_generators_lift_the_image_relators():
+    data = dataclasses.replace(
+        _abelianization_fiber_data(), q_relators=(word("t1 t2 t1' t2'"),),
+        q_generators=("t1", "t2"), lifts1={"t1": "u1", "t2": "v1"})
+    assert fiber_generators(data)["relators"] == [word("u1 v1 u1' v1'")]
+    no_lift = dataclasses.replace(data, lifts1={"t1": "u1"})
+    with pytest.raises(MissingChoiceWordsError, match="image generator 't2'"):
+        fiber_generators(no_lift)
 
 
 def test_fiber_generators_missing_lift():

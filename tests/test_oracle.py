@@ -350,6 +350,21 @@ def test_find_filling_keeps_to_max_area():
     assert find_filling(Z2, w, SearchBudget(max_area=4)).area == 4
 
 
+def test_find_filling_reports_a_word_with_no_filling():
+    # [x, y] is on the (zero) lattice of the free group, so it is searched
+    res = find_filling(FREE, word("x y x' y'"))
+    assert res == oracle.AreaResult("not-null-homotopic", states=1)
+
+
+def test_searches_cut_by_the_clock_exhaust_the_budget(monkeypatch):
+    monkeypatch.setattr(oracle._Clock, "expired", lambda self: True)
+    res = find_filling(Z2, word("x y x' y'"))
+    assert (res.kind, res.lower_bound, res.witness) == ("budget-exhausted", 1, None)
+    sample = dehn_sample(Z2, 4)
+    assert (sample.kind, sample.value, sample.words_checked) == (
+        "budget-exhausted", None, 0)
+
+
 def test_find_filling_greedy():
     res = find_filling(Z2, commutator(wpow(word("x"), 2), wpow(word("y"), 2)))
     assert res.kind == "area"

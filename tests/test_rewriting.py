@@ -32,7 +32,7 @@ from fillcalc.rewriting import (
     verify_scheme,
 )
 from fillcalc import rewriting
-from fillcalc.oracle import SearchBudget
+from fillcalc.oracle import SearchBudget, area_exact
 from fillcalc.words import (
     ChargeMap,
     Letter,
@@ -494,6 +494,14 @@ def test_verify_scheme_reports_a_sequence_that_misses_its_row(seq):
     scheme = Scheme((SchemeRow(word("x y x' y'"), 1),))
     report = verify_scheme(Z2, scheme, sequences=[seq])
     assert report.rows == (RowReport(0, "sequence-mismatch", None),)
+    assert not report.passed and report.total_area is None
+
+
+def test_verify_scheme_reports_a_sequence_over_its_claim():
+    w = word("x y x' y'")
+    report = verify_scheme(Z2, Scheme((SchemeRow(w, 0),)),
+                           sequences=[area_exact(Z2, w).witness])
+    assert report.rows == (RowReport(0, "area-exceeds-claim", 1),)
     assert not report.passed and report.total_area is None
 
 
