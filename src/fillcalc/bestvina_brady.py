@@ -532,16 +532,14 @@ class BBModel:
     # -- transpositions ---------------------------------------------------
 
     def _commutator_fill(self, a: Letter, b: Letter) -> DerivationSequence:
-        key = (a, b)
-        if key not in self._swap_fills:
+        fill = self._swap_fills.get((a, b))
+        if fill is None:
             fill = two_step_filling(self.pres, Word((a, b, a.inverse(), b.inverse())))
             if fill is None:
                 raise ValueError(f"letters {a} and {b} have no small commutator fill")
-            # applied once here, so that every swap splices it by its record
-            sub = WordEditor(self.pres, fill.start)
-            sub.apply_subsequence(0, fill)
-            self._swap_fills[key] = sub.sequence()
-        return self._swap_fills[key]
+            # a search witness carries its record, so every swap splices it
+            self._swap_fills[a, b] = fill
+        return fill
 
     def swap(self, editor: WordEditor, pos: int) -> None:
         """Transpose editor letters of distinct generators at pos, pos+1 by

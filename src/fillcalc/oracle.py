@@ -20,8 +20,10 @@ from .rewriting import (
     FillingExpression,
     GroupPresentation,
     InternalCheckError,
+    MalformedMoveError,
+    _record_of,
+    _recorded,
     contraction_moves,
-    replay_sequence,
     sequence_to_expression,
 )
 from .words import (
@@ -495,20 +497,21 @@ def _witnessed(
     area: Optional[int] = None,
 ) -> AreaResult:
     """The "area" result of a search path from w's reduced code to the empty
-    word.  Its witness is replayed, and must reach the empty word, with
-    exactly ``area`` relator applications when an area is claimed."""
-    moves = list(contraction_moves(w))
+    word.  Its witness, applied once by the walk that builds its record, must
+    reach the empty word with exactly ``area`` relator moves if one is claimed."""
+    moves = contraction_moves(w)
     for a, b in zip(path, path[1:]):
         moves.extend(coder.edge_moves(a, b))
     seq = DerivationSequence(w, moves)
-    acct = replay_sequence(pres, seq)
-    if acct.endpoints[1] != EMPTY or area not in (None, acct.area):
+    try:
+        rec = _record_of(pres, seq)
+    except MalformedMoveError as exc:
+        raise InternalCheckError(f"witness for {w}: {exc}") from exc
+    if rec.final or area not in (None, seq.area):
         claim = "" if area is None else f" with area {area}"
-        raise InternalCheckError(
-            f"witness for {w} replays to {acct.endpoints[1]} with area "
-            f"{acct.area}, not to the empty word{claim}"
-        )
-    return AreaResult("area", acct.area, seq, 0 if area is None else area, states)
+        raise InternalCheckError(f"witness for {w} replays to {Word._of(rec.final)} with "
+                                 f"area {seq.area}, not to the empty word{claim}")
+    return AreaResult("area", seq.area, _recorded(w, moves, rec), area or 0, states)
 
 
 class _Ball:
@@ -560,7 +563,7 @@ def _search_start(
     cap = budget.length_cap(w, pres)
     start = coder.reduce(coder.encode(w))
     if start == "":
-        return AreaResult("area", 0, DerivationSequence(w, contraction_moves(w)), 0, 1)
+        return _witnessed(pres, coder, w, [start], 1, area=0)
     if len(start) > cap:
         return AreaResult("budget-exhausted", lower_bound=1, states=0)
     if not intlinalg.in_lattice(coder.basis, coder.abelian_vector(start)):

@@ -529,17 +529,26 @@ def base_filling(ctx: PulldownContext, w: Word) -> FillingExpression:
 # symbolic bound calculators
 
 
+# the largest degree and coefficient length (in bits) a BoundExpr holds
+_MAX_BOUND_DEGREE, _MAX_BOUND_BITS = 256, 1024
+
+
 class BoundExpr:
     """A closed-form nonnegative-integer function of a single size variable.
 
     Internally a polynomial (exponent -> coefficient); max is resolved by
     eventual dominance, which is the right notion for isoperimetric bounds.
-    The canonical printed form is the leading monomial."""
+    The canonical printed form is the leading monomial.  A polynomial past
+    the size limits is a ValueError, so a large input fails at once."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Dict[int, int]):
         self.coeffs = {e: c for e, c in coeffs.items() if c}
+        if max(self.coeffs, default=0) > _MAX_BOUND_DEGREE:
+            raise ValueError(f"bound has degree above {_MAX_BOUND_DEGREE}")
+        if any(c.bit_length() > _MAX_BOUND_BITS for c in self.coeffs.values()):
+            raise ValueError(f"bound has a coefficient longer than {_MAX_BOUND_BITS} bits")
 
     @classmethod
     def const(cls, c: int) -> "BoundExpr":
@@ -563,12 +572,11 @@ class BoundExpr:
         return BoundExpr(out)
 
     def __pow__(self, n: int) -> "BoundExpr":
+        # by repeated squaring, through powers that divide the result
         if n < 0:
             raise ValueError("powers must be nonnegative")
-        out = BoundExpr.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        half = self ** (n // 2) if n > 1 else BoundExpr.const(1)
+        return half * half * self if n & 1 else half * half
 
     def compose(self, inner: "BoundExpr") -> "BoundExpr":
         out = BoundExpr({})
@@ -616,7 +624,8 @@ _TOKEN = re.compile(r"\s*(\d+|l|max|[()+*^@,])")
 
 
 def parse_bound(text: str) -> BoundExpr:
-    """Parse the bound grammar: integers, l, +, *, ^, max(,), composition @."""
+    """Parse the bound grammar: integers, l, +, *, ^, max(,), composition @.
+    ``^`` takes one integer literal, so ``l^2^3`` needs parentheses."""
     tokens: List[str] = []
     pos = 0
     while pos < len(text):
@@ -665,11 +674,13 @@ def parse_bound(text: str) -> BoundExpr:
 
     def power() -> BoundExpr:
         base = atom()
-        while peek() == "^":
+        if peek() == "^":
             take()
             exp = take()
             if not exp.isdigit():
                 raise ValueError("exponent must be an integer literal")
+            if peek() == "^":
+                raise ValueError("chained '^' needs parentheses, as in (l^2)^3")
             base = base ** int(exp)
         return base
 

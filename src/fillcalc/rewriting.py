@@ -267,12 +267,10 @@ class DerivationSequence:
 class _Record(NamedTuple):
     """What applying a sequence's moves showed, kept so that splicing,
     mirroring and reversing need not apply them again: the final word's
-    letters, and for each move the length of the word it acts on and the
-    first letter of the pair it removes (None for a move that is not a
-    contraction)."""
+    letters, and for each move the first letter of the pair it removes
+    (None for a move that is not a contraction)."""
 
     final: Tuple[Letter, ...]
-    lengths: Tuple[int, ...]
     removed: Tuple[Optional[Letter], ...]
 
 
@@ -440,15 +438,11 @@ def _record_of(pres: GroupPresentation, seq: DerivationSequence) -> _Record:
     """The sequence's record: the one it carries, or one from a walk."""
     if seq._record is not None:
         return seq._record
-    lengths: List[int] = []
     removed: List[Optional[Letter]] = []
     letters: Sequence[Letter] = seq.start.letters
-    n = len(letters)
     for _, letters, gone in _walk(pres, seq):
-        lengths.append(n)
         removed.append(gone)
-        n = len(letters)
-    return _Record(tuple(letters), tuple(lengths), tuple(removed))
+    return _Record(tuple(letters), tuple(removed))
 
 
 def _relators_have_zero_charge(pres: GroupPresentation, theta: ChargeMap) -> bool:
@@ -471,23 +465,15 @@ def replay_sequence(
     otherwise the height field is None rather than a guess.
     """
     track = theta is not None and _relators_have_zero_charge(pres, theta)
-    best = [0] * theta.rank if track else None
-    if track:
-        for i, h in enumerate(heights(theta, seq.start)):
-            best[i] = max(best[i], h)
-    area = 0
+    best = heights(theta, seq.start) if track else None
     letters: Sequence[Letter] = seq.start.letters
-    for move, letters, _ in _walk(pres, seq):
-        if isinstance(move, ApplyRelator):
-            area += 1
+    for _, letters, _ in _walk(pres, seq):
         if track:
-            for i, h in enumerate(heights(theta, letters)):
-                if h > best[i]:
-                    best[i] = h
+            best = tuple(map(max, best, heights(theta, letters)))
     return Accounting(
-        area=area,
+        area=seq.area,
         radius=None,
-        heights=tuple(best) if track else None,
+        heights=best,
         endpoints=(seq.start, Word._of(tuple(letters))),
     )
 
@@ -602,14 +588,19 @@ def _mirror(
     """The mirror of a sequence (see ``mirror_sequence``) and the sequence's
     final word.  The mirror of a move on a word of n letters acts on its
     inverse: a contraction of the same letter pair, the expansion of the
-    same letter, and the relator move on the inverted subword."""
+    same letter, and the relator move on the inverted subword.  A contraction,
+    an expansion and a relator move (of m letters) change n by -2, 2 and
+    m - 2 split."""
     rec = _record_of(pres, seq)
     moves: List[RewriteMove] = []
-    for move, n in zip(seq.moves, rec.lengths):
+    n = len(seq.start)
+    for move in seq.moves:
         if isinstance(move, FreeContract):
             moves.append(FreeContract(n - move.pos - 2))
+            n -= 2
         elif isinstance(move, FreeExpand):
             moves.append(FreeExpand(n - move.pos, move.letter))
+            n += 2
         else:
             # the replaced half has split letters, the replacement m - split
             m = len(pres.relators[move.rel])
@@ -622,8 +613,9 @@ def _mirror(
                     split=move.split,
                 )
             )
+            n += m - 2 * move.split
     final = Word._of(rec.final)
-    record = _Record(final.inverse().letters, rec.lengths, rec.removed)
+    record = _Record(final.inverse().letters, rec.removed)
     return _recorded(seq.start.inverse(), moves, record), final
 
 
@@ -656,16 +648,14 @@ def reverse_sequence(
     contraction that removes its letter, and a relator move swaps its
     halves."""
     rec = _record_of(pres, seq)
-    after = (rec.lengths + (len(rec.final),))[1:]
     moves: List[RewriteMove] = []
     removed: List[Optional[Letter]] = []
     for move, gone in zip(reversed(seq.moves), reversed(rec.removed)):
+        removed.append(move.letter if isinstance(move, FreeExpand) else None)
         if isinstance(move, FreeContract):
             moves.append(FreeExpand(move.pos, gone))
-            removed.append(None)
         elif isinstance(move, FreeExpand):
             moves.append(FreeContract(move.pos))
-            removed.append(move.letter)
         else:
             m = len(pres.relators[move.rel])
             moves.append(
@@ -677,8 +667,7 @@ def reverse_sequence(
                     split=m - move.split,
                 )
             )
-            removed.append(None)
-    record = _Record(seq.start.letters, after[::-1], tuple(removed))
+    record = _Record(seq.start.letters, tuple(removed))
     return _recorded(Word._of(rec.final), moves, record)
 
 

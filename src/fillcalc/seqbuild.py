@@ -7,11 +7,10 @@ application across commuting generators), block bubbling, and targeted
 cancellation.  Emitters build sequences with these and tests replay them.
 
 The current word is one list of letters, which each move edits in place.
-The editor records the length of the word each move acts on and the letter
-each contraction removes (see ``rewriting._Record``), so that a sequence it
-emits can be spliced into another editor, mirrored or reversed without
-applying its moves again.  Turning a sequence into an expression walks it
-once.
+The editor records the letter each contraction removes (``rewriting._Record``),
+so its sequences, like search witnesses, splice, mirror and reverse without
+applying their moves again; a sequence from a file or a caller is walked
+once when spliced.  Turning a sequence into an expression walks it once.
 """
 
 from __future__ import annotations
@@ -24,8 +23,11 @@ from .rewriting import (
     FreeExpand,
     GroupPresentation,
     InternalCheckError,
+    MalformedMoveError,
+    NotFreelyEqualError,
     _apply_move,
     _Record,
+    _record_of,
     _recorded,
     find_relator_move,
     free_equality_sequence,
@@ -47,8 +49,7 @@ class WordEditor:
         self.start = start
         self.letters: List[Letter] = list(start.letters)
         self.moves: List = []
-        # per move: the length of the word it acts on, and the letter it removes
-        self._lengths: List[int] = []
+        # per move: the letter it removes
         self._removed: List[Optional[Letter]] = []
 
     @property
@@ -56,18 +57,15 @@ class WordEditor:
         return Word._of(tuple(self.letters))
 
     def sequence(self) -> DerivationSequence:
-        record = _Record(tuple(self.letters), tuple(self._lengths), tuple(self._removed))
+        record = _Record(tuple(self.letters), tuple(self._removed))
         return _recorded(self.start, self.moves, record)
 
     def _emit(self, move) -> None:
-        letters = self.letters
-        n = len(letters)
         try:
-            gone = _apply_move(self.pres, letters, move)
+            gone = _apply_move(self.pres, self.letters, move)
         except (ValueError, IndexError) as exc:
             raise InternalCheckError(f"emitted move {len(self.moves)}: {exc}") from exc
         self.moves.append(move)
-        self._lengths.append(n)
         self._removed.append(gone)
 
     def contract(self, pos: int) -> None:
@@ -109,16 +107,19 @@ class WordEditor:
 
     def free_to(self, target: Word) -> None:
         """Convert the current word to a freely equal target by free moves."""
-        seq = free_equality_sequence(self.word, target)
+        try:
+            seq = free_equality_sequence(self.word, target)
+        except NotFreelyEqualError as exc:
+            raise InternalCheckError(f"emitted move {len(self.moves)}: {exc}") from exc
         for move in seq.moves:
             self._emit(move)
 
     def apply_subsequence(self, pos: int, seq: DerivationSequence) -> None:
-        """Splice a prebuilt sequence acting on the subword at pos.  The
-        moves of a sequence that carries its record (one an editor emitted,
-        or a converter derived from one) were applied when it was built:
-        they are appended re-based, and the subword becomes the sequence's
-        final word.  Any other sequence is applied move by move."""
+        """Splice a prebuilt sequence acting on the subword at pos: its
+        moves are appended re-based, and the subword becomes the sequence's
+        final word.  The moves of a sequence that carries its record were
+        applied when it was built; any other sequence is walked once first,
+        and a move of it that does not apply leaves the editor as it was."""
         letters = self.letters
         end = pos + len(seq.start)
         got = tuple(letters[pos:end])
@@ -127,16 +128,13 @@ class WordEditor:
                 f"emitted move {len(self.moves)}: subword {Word._of(got)} "
                 f"!= expected {seq.start}"
             )
-        moves = splice_sequence(seq, pos)
-        rec = seq._record
-        if rec is None:
-            for move in moves:
-                self._emit(move)
-            return
-        delta = len(letters) - len(seq.start)
-        self._lengths.extend(n + delta for n in rec.lengths)
+        try:
+            rec = _record_of(self.pres, seq)
+        except MalformedMoveError as exc:
+            raise InternalCheckError(f"emitted move {len(self.moves) + exc.index}: "
+                                     f"{exc.reason}") from exc
         self._removed.extend(rec.removed)
-        self.moves.extend(moves)
+        self.moves.extend(splice_sequence(seq, pos))
         letters[pos:end] = rec.final
 
     def _gen_positions(self, gen: str, start: int, end: int):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -66,14 +65,32 @@ def test_area_budget_exit_code(z2):
     assert code == 3
 
 
-def test_internal_check_exit_code(z2, monkeypatch, capsys):
-    def replay(pres, seq, theta=None):
-        acct = rewriting.replay_sequence(pres, seq, theta)
-        return dataclasses.replace(acct, endpoints=(seq.start, word("x")))
+def faulty_edges(monkeypatch, *extra):
+    """Append the given moves to the moves of every search edge."""
+    edge_moves = oracle._Coder.edge_moves
+    monkeypatch.setattr(oracle._Coder, "edge_moves",
+                        lambda coder, s, d: edge_moves(coder, s, d) + list(extra))
 
-    monkeypatch.setattr(oracle, "replay_sequence", replay)
+
+def test_internal_check_exit_code(z2, monkeypatch, capsys):
+    # the one-edge witness then ends at x x', not at the empty word
+    faulty_edges(monkeypatch, FreeExpand(0, Letter("x", 1)))
     assert main(["area", "--presentation", z2, "--word", "x y x' y'"]) == 4
     assert capsys.readouterr().err.startswith("internal error: witness for")
+
+
+def test_a_witness_move_that_does_not_apply_exit_code(z2, monkeypatch, capsys):
+    faulty_edges(monkeypatch, FreeContract(0))
+    assert main(["area", "--presentation", z2, "--word", "x y x' y'"]) == 4
+    assert capsys.readouterr().err == (
+        "internal error: witness for x y x' y': move 5: position out of range\n")
+
+
+def test_free_to_a_word_not_freely_equal_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(pulldown, "_fill_case_both_high",
+                        lambda ctx, k, editor: editor.free_to(word("x")))
+    assert main(["fixtures", "run", "--only", "pulldown-pipeline"]) == 4
+    assert "are not freely equal" in capsys.readouterr().err
 
 
 def test_unjoined_search_path_exit_code(z2, monkeypatch, capsys):
@@ -336,8 +353,15 @@ def test_bounds_area_radius_r_defaults_to_one(capsys):
      "--pi: bad bound syntax at ' % 2'"),
     (["--kind", "area-radius", "--alpha", "l", "--rho", "l^-1"],
      "--rho: bad bound syntax at '-1'"),
+    (["--kind", "split", "--beta1", "l^2^3", "--beta2", "l"],
+     "--beta1: chained '^' needs parentheses, as in (l^2)^3"),
+    (["--kind", "split", "--beta1", "(l+1)^1000", "--beta2", "l"],
+     "--beta1: bound has degree above 256"),
+    (["--kind", "split", "--beta1", "l", "--beta2", "2^999999999"],
+     "--beta2: bound has a coefficient longer than 1024 bits"),
 ], ids=["trailing-plus", "open-paren", "extra-paren", "negative-r", "bare-caret",
-        "one-argument-max", "percent", "negative-exponent"])
+        "one-argument-max", "percent", "negative-exponent", "chained-caret",
+        "degree-too-high", "coefficient-too-long"])
 def test_a_malformed_bound_names_its_flag(argv, message, capsys):
     assert main(["bounds"] + argv) == 2
     captured = capsys.readouterr()

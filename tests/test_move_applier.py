@@ -5,15 +5,15 @@ against a copy of the tuple-based applier it replaced: the same letters
 for a move that applies, the same exception type and message for one that
 does not, and an untouched list after a failure.  Every converter reports a
 bad move at the index the walk reports.  The record that a ``WordEditor``
-keeps (and that mirroring and reversing derive) holds the final letters,
-each move's word length and each contraction's removed letter; it must equal
-what a walk of the same moves shows.  Emission must walk nothing at all,
-and turning a sequence into an expression walks it exactly once."""
+keeps, that a search witness carries, and that mirroring and reversing
+derive, holds the final letters and each contraction's removed letter; it
+must equal what a walk of the same moves shows.  Emission must walk nothing
+at all, and turning a sequence into an expression walks it exactly once."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fillcalc import bestvina_brady as bb, pulldown, rewriting, seqbuild
+from fillcalc import bestvina_brady as bb, oracle, pulldown, rewriting, seqbuild
 from fillcalc.pulldown import (
     conjugation_scheme,
     pulldown_expression,
@@ -234,7 +234,7 @@ def plain(seq):
 
 
 def resolved(record):
-    return tuple(record.final), tuple(record.lengths), tuple(record.removed)
+    return tuple(record.final), tuple(record.removed)
 
 
 def assert_record_matches_a_walk(pres, seq):
@@ -246,11 +246,25 @@ K3 = bb.triangle_complex()
 K3_TREE = bb.spanning_tree(K3)
 K3_MODEL = bb.BBModel(K3, K3_TREE)
 CONTEXTS = (standard_context(3, 2, 1), standard_context(4, 2, 2))
+# words the searches fill: the first of each has a two-step filling, and
+# the last reduces to the empty word
+SEARCHED = {
+    "Z2": ("x x y x' x' y'", "y x y' x'", "x y y' x'"),
+    "K3": ("a_b b_c a_b' b_c'", "a_b b_a", "a_b' a_b"),
+}
 
 
 @st.composite
 def emitted(draw):
-    which = draw(st.sampled_from(("scheme", "filling", "conjugation")))
+    which = draw(st.sampled_from(("scheme", "filling", "conjugation", "witness")))
+    if which == "witness":
+        name = draw(st.sampled_from(sorted(SEARCHED)))
+        pres, words = PRESENTATIONS[name], SEARCHED[name]
+        search = draw(st.sampled_from(("area_exact", "find_filling", "two_step_filling")))
+        if search == "two_step_filling":
+            return pres, oracle.two_step_filling(pres, word(words[0]))
+        w = word(draw(st.sampled_from(words)))
+        return pres, getattr(oracle, search)(pres, w).witness
     if which == "scheme":
         member = draw(st.sampled_from(bb.bb_indexed_families(K3, K3_TREE, 1)))
         kind, args, n = bb.member_scheme(K3_MODEL, member)
@@ -309,10 +323,11 @@ def test_splicing_a_record_equals_splicing_its_moves(drawn, data):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(seqbuild, "_apply_move", counted)
+        patch.setattr(rewriting, "_apply_move", counted)
         by_record.apply_subsequence(len(left), seq)
         assert applied == []  # a recorded sequence is spliced by its final word
         by_moves.apply_subsequence(len(left), plain(seq))
-        assert applied == list(by_moves.moves)
+        assert applied == list(seq.moves)  # any other is walked once
     assert by_record.letters == by_moves.letters
     assert by_record.moves == by_moves.moves
     assert resolved(by_record.sequence()._record) == resolved(by_moves.sequence()._record)
@@ -329,6 +344,28 @@ def test_a_failed_splice_or_move_is_an_internal_defect():
     seq = DerivationSequence(word("x x'"), (FreeContract(0),))
     with pytest.raises(rewriting.InternalCheckError, match="emitted move 1: subword"):
         editor.apply_subsequence(0, seq)
+
+
+def test_a_failed_splice_of_a_sequence_without_a_record_leaves_the_editor():
+    pres = PRESENTATIONS["Z2"]
+    editor = WordEditor(pres, word("y x x'"))
+    editor.expand(0, Letter("y", -1))
+    letters, moves = list(editor.letters), list(editor.moves)
+    # the second contraction finds an empty subword
+    seq = DerivationSequence(word("x x'"), (FreeContract(0), FreeContract(0)))
+    with pytest.raises(rewriting.InternalCheckError,
+                       match="emitted move 2: position out of range"):
+        editor.apply_subsequence(3, seq)
+    assert editor.letters == letters and editor.moves == moves
+    assert_record_matches_a_walk(pres, editor.sequence())
+
+
+def test_free_to_a_word_not_freely_equal_is_an_internal_defect():
+    editor = WordEditor(PRESENTATIONS["Z2"], word("x y"))
+    with pytest.raises(rewriting.InternalCheckError,
+                       match="emitted move 0: x y and y x are not freely equal"):
+        editor.free_to(word("y x"))
+    assert editor.letters == list(word("x y").letters) and not editor.moves
 
 
 # ---------------------------------------------------------------------------

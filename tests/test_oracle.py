@@ -24,7 +24,14 @@ from fillcalc.oracle import (
     raag_equal,
     raag_normal_form,
 )
-from fillcalc.rewriting import GroupPresentation, InternalCheckError, replay_sequence
+from fillcalc.rewriting import (
+    ApplyRelator,
+    FreeContract,
+    FreeExpand,
+    GroupPresentation,
+    InternalCheckError,
+    replay_sequence,
+)
 from fillcalc.words import (
     ChargeMap,
     Letter,
@@ -373,28 +380,40 @@ def test_find_filling_greedy():
     assert acct.area >= 4
 
 
-def _skewed_replay(monkeypatch, **fields):
-    """Make the oracle's witness replay report the given wrong fields."""
+def faulty_edges(monkeypatch, *extra):
+    """Append the given moves to the moves of every search edge."""
+    edge_moves = oracle._Coder.edge_moves
+    monkeypatch.setattr(oracle._Coder, "edge_moves",
+                        lambda coder, s, d: edge_moves(coder, s, d) + list(extra))
 
-    def replay(pres, seq, theta=None):
-        return dataclasses.replace(replay_sequence(pres, seq, theta), **fields)
 
-    monkeypatch.setattr(oracle, "replay_sequence", replay)
+# moves a Z2 witness of one edge ends with: one that leaves x x', two that
+# insert the relator's inverse and take it out again, one that does not apply
+ENDS_AT_X_XBAR = (FreeExpand(0, Letter("x", 1)),)
+TWO_MORE_RELATORS = (ApplyRelator(0, 0, 1, 0, 0), ApplyRelator(0, 0, -1, 0, 4))
+DOES_NOT_APPLY = (FreeContract(0),)
 
 
 @pytest.mark.parametrize(
-    "fields", [{"endpoints": (Word(), word("x"))}, {"area": 2}], ids=["end", "area"]
+    "extra", [ENDS_AT_X_XBAR, TWO_MORE_RELATORS], ids=["end", "area"]
 )
-def test_area_exact_rejects_bad_witness_replay(monkeypatch, fields):
-    _skewed_replay(monkeypatch, **fields)
+def test_area_exact_rejects_bad_witness_replay(monkeypatch, extra):
+    faulty_edges(monkeypatch, *extra)
     with pytest.raises(InternalCheckError):
         area_exact(Z2, word("x y x' y'"))
 
 
 def test_find_filling_rejects_bad_witness_replay(monkeypatch):
-    _skewed_replay(monkeypatch, endpoints=(Word(), word("x")))
+    faulty_edges(monkeypatch, *ENDS_AT_X_XBAR)
     with pytest.raises(InternalCheckError):
         find_filling(Z2, word("x y x' y'"))
+
+
+@pytest.mark.parametrize("search", [area_exact, find_filling])
+def test_a_witness_move_that_does_not_apply_is_an_internal_defect(monkeypatch, search):
+    faulty_edges(monkeypatch, *DOES_NOT_APPLY)
+    with pytest.raises(InternalCheckError, match=r"witness for .*: move 5: position"):
+        search(Z2, word("x y x' y'"))
 
 
 def test_dehn_free_group():

@@ -428,6 +428,36 @@ def test_bound_parse_and_eval():
     assert parse_bound("(l + 1) * (l + 1)")(3) == 16
 
 
+def test_a_chained_exponent_needs_parentheses():
+    for text in ("l^2^3", "2^3^2", "(l^2)^3^2"):
+        with pytest.raises(ValueError, match="chained '\\^' needs parentheses"):
+            parse_bound(text)
+    assert parse_bound("(l^2)^3").canonical() == "l^6"
+
+
+def test_powers_by_squaring_equal_repeated_products():
+    for base in ("l + 1", "2*l^2 + 3", "max(l, 2)", "0", "7"):
+        b = parse_bound(base)
+        product = BoundExpr.const(1)
+        for n in range(20):
+            assert b ** n == product, (base, n)
+            product = product * b
+
+
+def test_a_bound_past_its_limits_is_refused():
+    assert parse_bound("l^256").canonical() == "l^256"
+    assert parse_bound("(2*l)^128").canonical() == f"{2 ** 128}*l^128"
+    assert parse_bound("2^1023 * l")(1) == 2 ** 1023
+    for text in ("l^257", "(l+1)^1000", "l^128 * l^129", "(l^200) @ (l^2)"):
+        with pytest.raises(ValueError, match="degree above 256"):
+            parse_bound(text)
+    for text in ("2^1024", "2^999999999", "(2^600) * (2^600)"):
+        with pytest.raises(ValueError, match="longer than 1024 bits"):
+            parse_bound(text)
+    with pytest.raises(ValueError, match="degree above 256"):
+        compose_bounds("split", parse_bound("l^128"), parse_bound("l"))
+
+
 def test_compose_bounds_examples():
     l2 = parse_bound("l^2")
     l1 = parse_bound("l")
