@@ -5,8 +5,8 @@ Every command fills one machine-readable JSON report (version 2), which
 returns; progress lines go to stderr.  The report is byte-identical across
 runs, so timing is only recorded on request.  Exit codes: 0 all verdicts
 pass, 1 a verification failed, 2 usage error, 3 a search budget was
-exhausted, 4 an internal check failed (a defect in fillcalc, not in the
-input).
+exhausted, 4 an internal check failed or an unexpected exception was
+raised (a defect in fillcalc, not in the input).
 """
 
 from __future__ import annotations
@@ -80,7 +80,10 @@ def _emit(args, report: dict, started: float) -> None:
 
 def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _cmd_reduce(args, report) -> int:
@@ -407,6 +410,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

@@ -200,6 +200,17 @@ def _substitute(w: Word, table: Mapping[str, str]) -> Word:
     return Word(tuple(Letter(table[let.gen], let.sign) for let in w))
 
 
+def _check_over(where: str, words: Iterable[Word], alphabet: Iterable[str],
+                named: str) -> None:
+    """A ValueError naming the field and the generator when one of the
+    words uses a generator outside the alphabet."""
+    allowed = set(alphabet)
+    for w in words:
+        for let in w:
+            if let.gen not in allowed:
+                raise ValueError(f"{where}: generator {let.gen!r} is not in {named}")
+
+
 @dataclass(frozen=True)
 class FiberPresentationInputs:
     """The data feeding the fiber-product presentation: ordered generators of
@@ -216,6 +227,17 @@ class FiberPresentationInputs:
     x2: Tuple[str, ...]  # image lifts of the second side, matched with x1
     r4: Tuple[Word, ...]  # relators of the second side over a2 and x2
     w_r4: Optional[Tuple[Word, ...]] = None  # choice words over a1, one per r4
+
+    def __post_init__(self):
+        if self.w_r4 is not None and len(self.w_r4) != len(self.r4):
+            raise ValueError(f"fields 'r4' and 'w_r4' need one choice word per relator, "
+                             f"not {len(self.r4)} relators and {len(self.w_r4)} words")
+        first, second = (*self.a1, *self.x1), (*self.a2, *self.x2)
+        _check_over("field 'r1'", self.r1, first, "a1 + x1")
+        _check_over("field 'r2'", self.r2, first, "a1 + x1")
+        _check_over("field 'r3'", self.r3, self.a1, "a1")
+        _check_over("field 'w_r4'", self.w_r4 or (), self.a1, "a1")
+        _check_over("field 'r4'", self.r4, second, "a2 + x2")
 
 
 @dataclass(frozen=True)
@@ -263,6 +285,7 @@ def fiber_presentation(
     families = {"s1": s1, "s2": s2, "s3": s3, "s4": s4, "s5": s5}
     complete = peiffer is not None
     if peiffer is not None:
+        _check_over("field 'z_words'", peiffer.z_words, inputs.a1, "a1")
         families["s6"] = tuple(_substitute(z, a1bar) for z in peiffer.z_words)
     relators = tuple(itertools.chain.from_iterable(families.values()))
     return FiberPresentation(
@@ -287,6 +310,10 @@ class PositiveNormalFormData:
                 raise ValueError(f"missing positive conjugation word for {gen!r}")
             if self.w_minus is not None and gen not in self.w_minus:
                 raise ValueError(f"missing negative conjugation word for {gen!r}")
+        for name, table in (("w_plus", self.w_plus), ("w_minus", self.w_minus or {})):
+            for gen, image in table.items():
+                _check_over(f"field {name!r} image of {gen!r}", (image,),
+                            self.base.generators, "the base generators")
 
     def shift(self, w: Word, k: int) -> Word:
         """The k-fold substitution lift of the conjugation automorphism."""

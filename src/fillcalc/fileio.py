@@ -136,7 +136,10 @@ def load_scheme(data) -> Scheme:
         row = _object(row, what)
         if "heights" in row:
             raise ValueError(f"{what} field 'heights' is not checked; leave it out")
-        out.append(SchemeRow(_word(row, what, "word"), _int(row, what, "area")))
+        area = _int(row, what, "area")
+        if area < 0:
+            raise ValueError(f"{what} field 'area' must be a nonnegative integer")
+        out.append(SchemeRow(_word(row, what, "word"), area))
     return Scheme(tuple(out))
 
 

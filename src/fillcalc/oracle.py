@@ -795,27 +795,31 @@ def _cyclic_key(s: str, inv: Mapping[str, str]) -> str:
     return min(variants)
 
 
-def _lattice_distance(coder: _Coder, radius: int) -> Callable[[Sequence[int]], int]:
-    """The L1 distance from an integer vector to the relator lattice, or
-    ``radius + 1`` for anything farther: one breadth-first search, with
-    steps ±e_i, over the canonical coset representatives
-    (``intlinalg.coset``) from the coset of 0, since the distance depends
-    only on the coset."""
-    zero = intlinalg.coset(coder.basis, [0] * (len(coder.letters) // 2))
-    dist = {zero: 0}
-    level = [zero]
-    for d in range(1, radius + 1):
-        reached = []
-        for v in level:
-            for pos, sign in coder.abelian:
-                u = list(v)
-                u[pos] += sign
-                u = intlinalg.coset(coder.basis, u)
-                if u not in dist:
-                    dist[u] = d
-                    reached.append(u)
-        level = reached
-    return lambda v: dist.get(intlinalg.coset(coder.basis, v), radius + 1)
+def _coset_graph(coder: _Coder, length: int) -> Tuple[List[int], List[Dict[str, int]]]:
+    """The cosets of the relator lattice within L1 distance ``length`` of
+    it, numbered by one breadth-first search with steps ±e_i from the
+    lattice itself, coset 0 (``intlinalg.coset`` names each coset by its
+    canonical representative): each coset's distance, and for each coset
+    nearer than ``length`` the coset each letter code moves it to."""
+    zero = (0,) * (len(coder.letters) // 2)
+    number = {zero: 0}
+    cosets, dist, moves = [zero], [0], []
+    # the loop reads the cosets it appends, in order of distance
+    for k, v in enumerate(cosets):
+        if dist[k] == length:
+            break
+        row = {}
+        for c, (pos, sign) in enumerate(coder.abelian):
+            u = list(v)
+            u[pos] += sign
+            u = intlinalg.coset(coder.basis, u)
+            if u not in number:
+                number[u] = len(cosets)
+                cosets.append(u)
+                dist.append(dist[k] + 1)
+            row[chr(c)] = number[u]
+        moves.append(row)
+    return dist, moves
 
 
 def _reduced_words(coder: _Coder, length: int, counts: Counter) -> Iterable[str]:
@@ -824,28 +828,23 @@ def _reduced_words(coder: _Coder, length: int, counts: Counter) -> Iterable[str]
     first (a word, then each one-letter extension in code order), so the
     words of one length come in lexicographic code order.
 
-    A null-homotopic word has abelian image 0, so a prefix farther (L1)
-    from the lattice than the letters left is cut with its subtree.  Each
-    prefix's vector is packed into one integer (digit g, in balanced base
-    2 * length + 1, is the exponent sum of generator g), and its distance
-    is memoised per packed vector.  ``counts`` (a ``Counter``) tallies the
-    words under the names of the ``DehnStats`` fields they count.
+    A null-homotopic word has abelian image 0, so each prefix carries its
+    coset in ``_coset_graph``, and a prefix farther (L1) from the lattice
+    than the letters left is cut with its subtree.  ``counts`` (a
+    ``Counter``) tallies the words under the names of the ``DehnStats``
+    fields they count.
     """
-    radix = 2 * length + 1
-    step = {chr(c): sign * radix**pos for c, (pos, sign) in enumerate(coder.abelian)}
     inv = coder.inv
-    codes = sorted(step, reverse=True)
-    distance = _lattice_distance(coder, length)
-    dist = {0: 0}
+    dist, moves = _coset_graph(coder, length)
     # the empty word is the root, and no word
     stack = [("", 0)]
     while stack:
-        s, vec = stack.pop()
+        s, k = stack.pop()
         if s:
             counts["enumerated"] += 1
             if inv[s[0]] == s[-1]:
                 counts["not_cyclically_reduced"] += 1
-            elif dist[vec]:
+            elif k:
                 counts["off_lattice"] += 1
             else:
                 yield s
@@ -853,15 +852,11 @@ def _reduced_words(coder: _Coder, length: int, counts: Counter) -> Iterable[str]
         if not left:
             continue
         back = inv[s[-1]] if s else ""
-        for c in codes:
+        for c, u in reversed(moves[k].items()):
             if c == back:
                 continue
-            t, v = s + c, vec + step[c]
-            d = dist.get(v)
-            if d is None:
-                d = dist[v] = distance(coder.abelian_vector(t))
-            if d < left:
-                stack.append((t, v))
+            if dist[u] < left:
+                stack.append((s + c, u))
             else:
                 counts["pruned"] += 1
 

@@ -531,6 +531,8 @@ def base_filling(ctx: PulldownContext, w: Word) -> FillingExpression:
 
 # the largest degree and coefficient length (in bits) a BoundExpr holds
 _MAX_BOUND_DEGREE, _MAX_BOUND_BITS = 256, 1024
+# the deepest nesting of parentheses and max( that parse_bound reads
+_MAX_BOUND_NESTING = 64
 
 
 class BoundExpr:
@@ -625,7 +627,8 @@ _TOKEN = re.compile(r"\s*(\d+|l|max|[()+*^@,])")
 
 def parse_bound(text: str) -> BoundExpr:
     """Parse the bound grammar: integers, l, +, *, ^, max(,), composition @.
-    ``^`` takes one integer literal, so ``l^2^3`` needs parentheses."""
+    ``^`` takes one integer literal, so ``l^2^3`` needs parentheses, and
+    parentheses and max( nest at most ``_MAX_BOUND_NESTING`` deep."""
     tokens: List[str] = []
     pos = 0
     while pos < len(text):
@@ -637,7 +640,7 @@ def parse_bound(text: str) -> BoundExpr:
         tokens.append(m.group(1))
         pos = m.end()
     tokens.append("$")
-    idx = 0
+    idx = depth = 0
 
     def peek() -> str:
         return tokens[idx]
@@ -653,17 +656,26 @@ def parse_bound(text: str) -> BoundExpr:
         idx += 1
         return tok
 
+    def nested() -> BoundExpr:
+        nonlocal depth
+        depth += 1
+        if depth > _MAX_BOUND_NESTING:
+            raise ValueError(f"bound nests parentheses deeper than {_MAX_BOUND_NESTING}")
+        e = expr()
+        depth -= 1
+        return e
+
     def atom() -> BoundExpr:
         tok = take()
         if tok == "(":
-            e = expr()
+            e = nested()
             take(")")
             return e
         if tok == "max":
             take("(")
-            a = expr()
+            a = nested()
             take(",")
-            b = expr()
+            b = nested()
             take(")")
             return a.maximum(b)
         if tok == "l":

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fillcalc import acceptance, bestvina_brady, fileio, oracle, pulldown, rewriting
+from fillcalc import acceptance, bestvina_brady, cli, fileio, oracle, pulldown, rewriting
 from fillcalc.cli import main
 from fillcalc.rewriting import ApplyRelator, DerivationSequence, FreeContract, FreeExpand
 from fillcalc.words import Letter, word
@@ -359,9 +359,11 @@ def test_bounds_area_radius_r_defaults_to_one(capsys):
      "--beta1: bound has degree above 256"),
     (["--kind", "split", "--beta1", "l", "--beta2", "2^999999999"],
      "--beta2: bound has a coefficient longer than 1024 bits"),
+    (["--kind", "split", "--beta1", "(" * 3000 + "l" + ")" * 3000, "--beta2", "l"],
+     "--beta1: bound nests parentheses deeper than 64"),
 ], ids=["trailing-plus", "open-paren", "extra-paren", "negative-r", "bare-caret",
         "one-argument-max", "percent", "negative-exponent", "chained-caret",
-        "degree-too-high", "coefficient-too-long"])
+        "degree-too-high", "coefficient-too-long", "nested-too-deep"])
 def test_a_malformed_bound_names_its_flag(argv, message, capsys):
     assert main(["bounds"] + argv) == 2
     captured = capsys.readouterr()
@@ -425,6 +427,26 @@ def test_usage_error_exit_code():
     assert main(["area", "--presentation", "/nonexistent.json", "--word", "x"]) == 2
 
 
+def test_json_nested_too_deeply_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["area", "--presentation", str(path), "--word", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: JSON nested too deeply\n"
+
+
+def test_any_other_exception_is_an_internal_error(monkeypatch, capsys):
+    def defective(args, report):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "_cmd_reduce", defective)
+    assert main(["reduce", "--word", "x"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: TypeError: unsupported operand\n"
+
+
 def test_construct_fiber(tmp_path, capsys):
     spec = tmp_path / "fiber.json"
     spec.write_text(
@@ -472,6 +494,31 @@ PNF = {"base": {"generators": ["a"]}, "stable": "t", "w_plus": {"a": "a"}}
     pytest.param("cyclic", dict(PNF, base={"relators": []}),
                  "base presentation field 'generators' is missing",
                  id="cyclic-base-no-generators"),
+    pytest.param("fiber", dict(FIBER, r4=["z c", "z"], w_r4=["a"]),
+                 "fields 'r4' and 'w_r4' need one choice word per relator, "
+                 "not 2 relators and 1 words", id="fiber-short-w_r4"),
+    pytest.param("fiber", dict(FIBER, r4=["z c"], w_r4=["a", "a"]),
+                 "not 1 relators and 2 words", id="fiber-short-r4"),
+    pytest.param("fiber", dict(FIBER, r4=["z c"], w_r4=[]),
+                 "not 1 relators and 0 words", id="fiber-empty-w_r4"),
+    pytest.param("fiber", dict(FIBER, r1=["a q a'"]),
+                 "field 'r1': generator 'q' is not in a1 + x1", id="fiber-r1-undeclared"),
+    pytest.param("fiber", dict(FIBER, r2=["z"]),
+                 "field 'r2': generator 'z' is not in a1 + x1", id="fiber-r2-undeclared"),
+    pytest.param("fiber", dict(FIBER, r3=["x"]),
+                 "field 'r3': generator 'x' is not in a1", id="fiber-r3-undeclared"),
+    pytest.param("fiber", dict(FIBER, r4=["z a"], w_r4=["a"]),
+                 "field 'r4': generator 'a' is not in a2 + x2", id="fiber-r4-undeclared"),
+    pytest.param("fiber", dict(FIBER, r4=["z"], w_r4=["q"]),
+                 "field 'w_r4': generator 'q' is not in a1", id="fiber-w_r4-undeclared"),
+    pytest.param("cyclic", dict(PNF, w_plus={"a": "a q"}),
+                 "field 'w_plus' image of 'a': generator 'q' is not in the base "
+                 "generators",
+                 id="cyclic-w_plus-undeclared"),
+    pytest.param("cyclic", dict(PNF, w_minus={"a": "t"}),
+                 "field 'w_minus' image of 'a': generator 't' is not in the base "
+                 "generators",
+                 id="cyclic-w_minus-undeclared"),
 ])
 def test_malformed_construct_input_is_a_usage_error(tmp_path, capsys, command, data,
                                                     field):
@@ -659,6 +706,9 @@ def test_a_move_an_emitter_cannot_apply_is_an_internal_error(k3, monkeypatch, ca
                  id="no-area"),
     pytest.param({"rows": [{"word": "x y x' y'", "area": 1.5}]}, None,
                  "'area' must be an integer", id="area-float"),
+    pytest.param({"rows": [{"word": "x y x' y'", "area": -1}]}, None,
+                 "scheme row 0 field 'area' must be a nonnegative integer",
+                 id="area-negative"),
     pytest.param({"rows": [{"word": "x y x' y'", "area": 1, "heights": [1]}]},
                  None, "scheme row 0 field 'heights' is not checked", id="heights-given"),
     pytest.param({"rows": [{"word": 5, "area": 1}]}, None,

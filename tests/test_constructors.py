@@ -237,6 +237,15 @@ def test_fiber_presentation_missing_choice_words():
         fiber_presentation(inputs)
 
 
+def test_peiffer_words_keep_to_a1():
+    inputs = FiberPresentationInputs(
+        a1=("a",), x1=(), r1=(), r2=(), r3=(), a2=("c",), x2=(), r4=()
+    )
+    peiffer = PeifferData(sequences=(), z_words=(word("a c"),))
+    with pytest.raises(ValueError, match="field 'z_words': generator 'c' is not in a1"):
+        fiber_presentation(inputs, peiffer)
+
+
 def test_fiber_presentation_with_peiffer():
     q = GroupPresentation(("t",), (word("t t"),))
     peiffer = PeifferData(

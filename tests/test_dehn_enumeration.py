@@ -125,33 +125,38 @@ def lattice_points(name, radius):
 
 
 @st.composite
-def vectors(draw):
-    """A presentation, a length and a vector of L1 norm <= that length,
-    the sum of at most that many steps ±e_i."""
+def walks(draw):
+    """A presentation, a length and at most that many steps ±e_i, as
+    (generator position, sign) pairs."""
     name = draw(st.sampled_from(sorted(LATTICES)))
     pres, top = LATTICES[name]
     length = draw(st.integers(0, top))
     n = len(pres.generators)
-    vec = [0] * n
-    for i, sign in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))),
-                                 max_size=length)):
-        vec[i] += sign
-    return name, length, vec
+    steps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))),
+                          max_size=length))
+    return name, length, steps
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(vectors())
+@given(walks())
 def test_lattice_distance_is_the_least_l1_distance(case):
-    """A vector within the length's L1 ball is at most that far from the
-    lattice point 0, so every nearer lattice point lies in the ball of
-    twice the radius: the sweep's distance is the least over those."""
-    name, length, vec = case
+    """Walking a vector's steps from coset 0 reaches a coset whose distance
+    is the vector's least L1 distance to the lattice.  The vector is at
+    most the length from the lattice point 0, so every nearer lattice point
+    lies in the ball of twice the radius: the least is taken over those."""
+    name, length, steps = case
     coder = oracle._coder(LATTICES[name][0])
+    dist, moves = oracle._coset_graph(coder, length)
+    vec = [0] * (len(coder.letters) // 2)
+    k = 0
+    for pos, sign in steps:
+        vec[pos] += sign
+        k = moves[k][chr(coder.abelian.index((pos, sign)))]
     want = min(
         sum(abs(a - b) for a, b in zip(vec, point))
         for point in lattice_points(name, 2 * length)
     )
-    assert oracle._lattice_distance(coder, length)(vec) == want
+    assert dist[k] == want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -172,6 +177,14 @@ def test_coset_representatives_are_canonical(name, data):
 
 
 def test_lattice_distance_past_the_radius():
-    """Cosets the search does not reach within the radius read radius + 1."""
-    distance = oracle._lattice_distance(oracle._coder(Z2), 3)
-    assert [distance(v) for v in ([3, 0], [2, -2], [0, 5])] == [3, 4, 4]
+    """The search creates no coset farther than the length, numbers the
+    cosets in order of distance, and records the moves of exactly those
+    nearer than the length; on Z² those are the points of the L1 balls."""
+    for pres, length in LATTICES.values():
+        coder = oracle._coder(pres)
+        dist, moves = oracle._coset_graph(coder, length)
+        assert dist[0] == 0 and dist == sorted(dist) and dist[-1] <= length
+        assert len(moves) == sum(d < length for d in dist)
+        assert all(len(row) == len(coder.letters) for row in moves)
+    dist, moves = oracle._coset_graph(oracle._coder(Z2), 3)
+    assert (len(dist), len(moves)) == (len(ball(2, 3)), len(ball(2, 2)))

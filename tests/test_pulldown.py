@@ -458,6 +458,15 @@ def test_a_bound_past_its_limits_is_refused():
         compose_bounds("split", parse_bound("l^128"), parse_bound("l"))
 
 
+def test_a_bound_nested_past_its_limit_is_refused():
+    assert parse_bound("(" * 64 + "l" + ")" * 64).canonical() == "l"
+    assert parse_bound("max(l, " * 63 + "max(1, l^2)" + ")" * 63).canonical() == "l^2"
+    for text in ("(" * 65 + "l" + ")" * 65, "max(l, " * 65 + "l" + ")" * 65,
+                 "(" * 3000 + "l" + ")" * 3000, "(" * 3000):
+        with pytest.raises(ValueError, match="nests parentheses deeper than 64"):
+            parse_bound(text)
+
+
 def test_compose_bounds_examples():
     l2 = parse_bound("l^2")
     l1 = parse_bound("l")
