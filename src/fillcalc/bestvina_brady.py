@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 Edge = Tuple[str, str]
+# bb_phi's letter images, keyed by (letter, n), for one complex and tree
+Images = Dict[Tuple[Letter, int], Tuple[Letter, ...]]
 
 
 class FlagComplex:
@@ -290,19 +292,27 @@ def tree_word(delta: FlagComplex, tree: SpanningTree, n: int, u: str, v: str) ->
     return _power_word(delta, tree.path(u, v), n)
 
 
-def bb_phi(delta: FlagComplex, tree: SpanningTree, n: int, w: Word) -> Word:
+def bb_phi(delta: FlagComplex, tree: SpanningTree, n: int, w: Word,
+           images: Optional[Images] = None) -> Word:
     """The shift endomorphism: an edge goes to its tree-conjugated n-step
-    translate; extends letterwise, commuting with inversion."""
+    translate; extends letterwise, commuting with inversion.  Each letter's
+    image is built once per (letter, n) in images, a table for delta and
+    tree that the call reads and fills; without one, once per call."""
+    if images is None:
+        images = {}
     out: List[Letter] = []
     for let in w:
-        u, v = delta.letter_edge(let.gen)
-        image = concat(
-            tree_word(delta, tree, n, delta.base, u),
-            wpow(Word((Letter(let.gen, 1),)), n + 1),
-            tree_word(delta, tree, n, v, delta.base),
-        )
-        out.extend((image if let.sign > 0 else image.inverse()).letters)
-    return Word(out)
+        image = images.get((let, n))
+        if image is None:
+            u, v = delta.letter_edge(let.gen)
+            image = concat(
+                tree_word(delta, tree, n, delta.base, u),
+                wpow(Word((Letter(let.gen, 1),)), n + 1),
+                tree_word(delta, tree, n, v, delta.base),
+            )
+            image = images[let, n] = (image if let.sign > 0 else image.inverse()).letters
+        out += image
+    return Word._of(tuple(out))
 
 
 def _conjugation_edges(delta: FlagComplex, tree: SpanningTree, e: Edge) -> List[Edge]:
@@ -329,8 +339,10 @@ def _families(delta: FlagComplex, tree: SpanningTree, pres: GroupPresentation,
     """``bb_indexed_families`` over delta's presentation pres, built once."""
     words = {delta.edge_letter(e).gen: edge_conjugation_word(delta, tree, e)
              for e in delta.directed_edges()}
+    images: Images = {}
     return IndexedRelator.families(pres.relators, words,
-                                   lambda w, n: bb_phi(delta, tree, n, w), index_bound)
+                                   lambda w, n: bb_phi(delta, tree, n, w, images),
+                                   index_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -433,58 +445,81 @@ def find_null_homotopy(
 ) -> CombinatorialNullHomotopy:
     """Breadth-first search over cycles of length at most |cycle| + 4 for a
     shortest combinatorial null-homotopy; collapse-only moves are tried
-    before expansions.  The empty cycle gets the empty homotopy."""
+    before expansions.  The empty cycle gets the empty homotopy.  Only the
+    moves of the homotopy found are built, and it is replayed once."""
     start = tuple(cycle)
     if not _is_cycle(delta, start):
         raise ValueError("not a combinatorial cycle")
     if not start:
         return CombinatorialNullHomotopy(start, ())
     cap = len(start) + 4
-    # expansion cells: an edge with its reverse, or a triangle cycle
-    expansions = (
-        ("1-expand", 2, [(e,) for e in delta.directed_edges()]),
-        ("2-expand", 3, _triangle_cycles(delta)),
-    )
+    triangles = _triangle_cycles(delta)
+    # what an expansion inserts, by start vertex in cell order: an edge with
+    # its reverse, or a triangle cycle
+    pairs: Dict[str, list] = {v: [] for v in delta.vertices}
+    for e in delta.directed_edges():
+        pairs[e[0]].append(((e,), (e, (e[1], e[0]))))
+    cells: Dict[str, list] = {v: [] for v in delta.vertices}
+    for t in triangles:
+        cells[t[0][0]].append((t, t))
+    expansions = (("1-expand", 2, pairs), ("2-expand", 3, cells))
+    triangle_set = set(triangles)
     # max_states is a cap: cycles are counted as they are added
     seen = {start: None}
     queue = deque([start])
     while queue:
         cyc = queue.popleft()
-        moves: List[NullHomotopyMove] = []
-        for k in range(len(cyc) - 1):
-            if cyc[k + 1] == (cyc[k][1], cyc[k][0]):
-                moves.append(NullHomotopyMove("1-collapse", k))
-        for k in range(len(cyc) - 2):
-            tri = (cyc[k], cyc[k + 1], cyc[k + 2])
-            if len({e[0] for e in tri}) == 3 and _is_cycle(delta, tri):
-                moves.append(NullHomotopyMove("2-collapse", k))
-        for kind, size, cells in expansions:
-            if len(cyc) + size > cap:
-                continue
-            for k in range(len(cyc) + 1):
-                attach = _attach(cyc, k)
-                moves.extend(
-                    NullHomotopyMove(kind, k, cell)
-                    for cell in cells
-                    if attach is None or cell[0][0] == attach
-                )
-        for move in moves:
-            nxt = apply_null_homotopy_move(delta, cyc, move)
+        for nxt, move in _null_homotopy_steps(cyc, cap, triangle_set, expansions):
             if nxt in seen:
                 continue
             seen[nxt] = (cyc, move)
             if not nxt:
-                chain = []
-                cur = nxt
-                while seen[cur] is not None:
-                    prev, mv = seen[cur]
-                    chain.append(mv)
-                    cur = prev
-                return CombinatorialNullHomotopy(start, tuple(reversed(chain)))
+                return _replayed(delta, start, seen)
             if len(seen) > max_states:
                 raise NotNullError("null-homotopy search budget exhausted")
             queue.append(nxt)
     raise NotNullError("cycle admits no null-homotopy within the length cap")
+
+
+def _null_homotopy_steps(cyc: Tuple[Edge, ...], cap: int, triangles, expansions):
+    """Each cycle one move from the closed cycle cyc, with the move's fields,
+    in the search's order: 1-collapses, 2-collapses, then 1- and
+    2-expansions within the cap, by position and cell."""
+    size = len(cyc)
+    for k in range(size - 1):
+        e = cyc[k]
+        if cyc[k + 1] == (e[1], e[0]):
+            yield cyc[:k] + cyc[k + 2 :], ("1-collapse", k, ())
+    for k in range(size - 2):
+        if cyc[k : k + 3] in triangles:
+            yield cyc[:k] + cyc[k + 3 :], ("2-collapse", k, ())
+    for kind, grow, cells in expansions:
+        if size + grow > cap:
+            continue
+        for k in range(size + 1):
+            head, tail = cyc[:k], cyc[k:]
+            # at k = 0 the last edge ends where the cycle starts
+            for cell, edges in cells[cyc[k - 1][1]]:
+                yield head + edges + tail, (kind, k, cell)
+
+
+def _replayed(delta: FlagComplex, start: Tuple[Edge, ...],
+              seen: Dict) -> CombinatorialNullHomotopy:
+    """The homotopy from start to the empty cycle along the search's parent
+    links, replayed once; one that does not end there is a defect."""
+    moves = []
+    cyc: Tuple[Edge, ...] = ()
+    while seen[cyc] is not None:
+        cyc, move = seen[cyc]
+        moves.append(NullHomotopyMove(*move))
+    nh = CombinatorialNullHomotopy(start, tuple(reversed(moves)))
+    try:
+        final = replay_null_homotopy(delta, nh)
+    except ValueError as exc:
+        raise InternalCheckError(f"null-homotopy search: {exc}") from exc
+    if final:
+        raise InternalCheckError(f"null-homotopy search ends at {final}, not ()")
+    return nh
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +536,7 @@ class BBModel:
         self.pres = dicks_leary_presentation(delta)
         self._homotopies: Dict[Tuple[Edge, ...], CombinatorialNullHomotopy] = {}
         self._swap_fills: Dict[Tuple[Letter, Letter], DerivationSequence] = {}
+        self._images: Images = {}
 
     def edge_cycle(self, e: Edge) -> Tuple[Edge, ...]:
         return tuple(
@@ -727,7 +763,8 @@ def _scheme_closed(model: BBModel, walk: Sequence[Edge], n: int) -> DerivationSe
     Cancel the paths at its junctions, collapse the centre power, then the
     outer paths."""
     delta = model.delta
-    w = bb_phi(delta, model.tree, n, Word(tuple(delta.edge_letter(e) for e in walk)))
+    w = bb_phi(delta, model.tree, n, Word(tuple(delta.edge_letter(e) for e in walk)),
+               model._images)
     editor = WordEditor(model.pres, w)
     model.collapse_junctions(editor, 0, walk, n)
     # now P(iota_0, n) x0^{n+1} ... x_last^{n+1} Q(iota_0, n)
@@ -744,7 +781,8 @@ def _scheme_closed(model: BBModel, walk: Sequence[Edge], n: int) -> DerivationSe
 def _scheme_inverse_cycle(model: BBModel, cyc: Tuple[Edge, Edge, Edge], n: int
                           ) -> DerivationSequence:
     delta = model.delta
-    w = bb_phi(delta, model.tree, n, Word(tuple(delta.edge_letter(e, -1) for e in cyc)))
+    w = bb_phi(delta, model.tree, n, Word(tuple(delta.edge_letter(e, -1) for e in cyc)),
+               model._images)
     editor = WordEditor(model.pres, w)
     if n == 0:
         editor.relator(0, w, EMPTY)
@@ -856,8 +894,8 @@ def _scheme_stable(model: BBModel, e: Edge, n: int) -> DerivationSequence:
     span2 = abs(n + 2)
     let = delta.edge_letter(e)
     conj = _conjugation_edges(delta, tree, e)
-    shifted = bb_phi(delta, tree, n, _power_word(delta, conj, 1))
-    w = concat(bb_phi(delta, tree, n + 1, Word((let,))), shifted.inverse())
+    shifted = bb_phi(delta, tree, n, _power_word(delta, conj, 1), model._images)
+    w = concat(bb_phi(delta, tree, n + 1, Word((let,)), model._images), shifted.inverse())
     editor = WordEditor(model.pres, w)
     d_i, d_t = model.depth(e[0]), model.depth(e[1])
 

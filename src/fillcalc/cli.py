@@ -139,18 +139,24 @@ def _cmd_verify_scheme(args, report) -> int:
     return EXIT_PASS if out.passed else EXIT_FAIL
 
 
-def _context(args):
-    return standard_context(args.n, args.m, args.r)
+def _context_word(args):
+    """The standard context and --word, checked against its generators."""
+    ctx = standard_context(args.n, args.m, args.r)
+    w = word(args.word)
+    extra = w.generators() - set(ctx.spec.factor_of)
+    if extra:
+        raise ValueError(f"--word: generator {min(extra)!r} is not in the context")
+    return ctx, w
 
 
 def _cmd_pulldown(args, report) -> int:
-    out = phi(_context(args), args.k, word(args.word), args.h)
-    report["verdicts"] = {"word": str(out)}
+    ctx, w = _context_word(args)
+    report["verdicts"] = {"word": str(phi(ctx, args.k, w, args.h))}
     return EXIT_PASS
 
 
 def _cmd_flatten(args, report) -> int:
-    report["verdicts"] = {"word": str(flatten_word(_context(args), word(args.word)))}
+    report["verdicts"] = {"word": str(flatten_word(*_context_word(args)))}
     return EXIT_PASS
 
 

@@ -921,7 +921,8 @@ def dehn_sample(
 
 class DirectProductSpec:
     """A direct product of free groups: per-factor alphabets, the combined
-    commutator relator set, and an optional charge map."""
+    commutator relator set, and an optional charge map, which must charge
+    every factor generator."""
 
     def __init__(
         self,
@@ -935,6 +936,8 @@ class DirectProductSpec:
                 if gen in self.factor_of:
                     raise ValueError(f"generator {gen!r} occurs in two factors")
                 self.factor_of[gen] = i
+                if theta is not None and gen not in theta:
+                    raise ValueError(f"generator {gen!r} of factor {i + 1} has no charge")
         self.theta = theta
 
     @property

@@ -673,7 +673,10 @@ def reverse_sequence(
 
 def splice_sequence(seq: DerivationSequence, offset: int) -> Tuple[RewriteMove, ...]:
     """Re-base a sequence's moves to act at a positional offset inside a
-    larger word (the surrounding context is untouched by every move)."""
+    larger word (the surrounding context is untouched by every move).  The
+    moves are frozen, so at offset 0 they are the sequence's own."""
+    if not offset:
+        return seq.moves
     out: List[RewriteMove] = []
     for move in seq.moves:
         if isinstance(move, FreeContract):

@@ -106,9 +106,15 @@ class WordEditor:
             self.expand(pos + i, let)
 
     def free_to(self, target: Word) -> None:
-        """Convert the current word to a freely equal target by free moves."""
+        """Convert the current word to a freely equal target by free moves;
+        none when it is the target and freely reduced."""
+        current = tuple(self.letters)
+        if current == target.letters and not any(
+            a.gen == b.gen and a.sign != b.sign for a, b in zip(current, current[1:])
+        ):
+            return
         try:
-            seq = free_equality_sequence(self.word, target)
+            seq = free_equality_sequence(Word._of(current), target)
         except NotFreelyEqualError as exc:
             raise InternalCheckError(f"emitted move {len(self.moves)}: {exc}") from exc
         for move in seq.moves:

@@ -1,12 +1,16 @@
 import dataclasses
 import random
+from collections import deque
 
 import pytest
 
 from fillcalc import bestvina_brady, oracle
 from fillcalc.bestvina_brady import (
     BBModel,
+    CombinatorialNullHomotopy,
     FlagComplex,
+    NullHomotopyMove,
+    apply_null_homotopy_move,
     bb_indexed_families,
     bb_phi,
     bb_relator_scheme,
@@ -35,7 +39,7 @@ from fillcalc.oracle import DirectProductSpec
 from fillcalc.pulldown import compose_bounds, parse_bound
 from fillcalc.rewriting import GroupPresentation, InternalCheckError, replay_sequence
 from fillcalc.seqbuild import WordEditor
-from fillcalc.words import EMPTY, Letter, Word, concat, free_reduce, word
+from fillcalc.words import EMPTY, Letter, Word, concat, free_reduce, word, wpow
 
 
 K3 = triangle_complex()
@@ -222,21 +226,175 @@ def test_find_null_homotopy_of_the_empty_cycle():
 @pytest.mark.parametrize("max_states", [1, 2, 5])
 def test_find_null_homotopy_max_states_is_a_cap(max_states, monkeypatch):
     """The doubled triangle needs two collapses; a budget checked only when
-    a cycle is dequeued let the search build dozens of cycles past it."""
-    built = set()
-    apply = bestvina_brady.apply_null_homotopy_move
+    a cycle is dequeued let the search add dozens of cycles past it."""
+    added = set()
 
-    def counting_apply(delta, cyc, move):
-        out = apply(delta, cyc, move)
-        built.add(out)
-        return out
+    class CountingQueue(deque):
+        def append(self, cyc):
+            added.add(cyc)
+            super().append(cyc)
 
-    monkeypatch.setattr(bestvina_brady, "apply_null_homotopy_move", counting_apply)
+    monkeypatch.setattr(bestvina_brady, "deque", CountingQueue)
     triangle = (("a", "b"), ("b", "c"), ("c", "a"))
     with pytest.raises(bestvina_brady.NotNullError, match="budget"):
         find_null_homotopy(K3, triangle * 2, max_states=max_states)
-    # the start cycle and the cycles added, one past the budget at most
-    assert len(built - {triangle * 2}) <= max_states
+    # the cycles added besides the start, the last of them past the budget
+    # and not queued
+    assert len(added) < max_states
+
+
+def reference_find_null_homotopy(delta, cycle, max_states=200_000):
+    """The search as it was before it built only the cycles it needs: every
+    candidate move as a NullHomotopyMove, applied and checked by
+    apply_null_homotopy_move."""
+    start = tuple(cycle)
+    if not start:
+        return CombinatorialNullHomotopy(start, ())
+    cap = len(start) + 4
+    expansions = (
+        ("1-expand", 2, [(e,) for e in delta.directed_edges()]),
+        ("2-expand", 3, _triangle_cycles(delta)),
+    )
+    seen = {start: None}
+    queue = deque([start])
+    while queue:
+        cyc = queue.popleft()
+        moves = []
+        for k in range(len(cyc) - 1):
+            if cyc[k + 1] == (cyc[k][1], cyc[k][0]):
+                moves.append(NullHomotopyMove("1-collapse", k))
+        for k in range(len(cyc) - 2):
+            tri = (cyc[k], cyc[k + 1], cyc[k + 2])
+            if len({e[0] for e in tri}) == 3 and bestvina_brady._is_cycle(delta, tri):
+                moves.append(NullHomotopyMove("2-collapse", k))
+        for kind, size, cells in expansions:
+            if len(cyc) + size > cap:
+                continue
+            for k in range(len(cyc) + 1):
+                attach = bestvina_brady._attach(cyc, k)
+                moves.extend(
+                    NullHomotopyMove(kind, k, cell)
+                    for cell in cells
+                    if attach is None or cell[0][0] == attach
+                )
+        for move in moves:
+            nxt = apply_null_homotopy_move(delta, cyc, move)
+            if nxt in seen:
+                continue
+            seen[nxt] = (cyc, move)
+            if not nxt:
+                chain = []
+                cur = nxt
+                while seen[cur] is not None:
+                    prev, mv = seen[cur]
+                    chain.append(mv)
+                    cur = prev
+                return CombinatorialNullHomotopy(start, tuple(reversed(chain)))
+            if len(seen) > max_states:
+                raise bestvina_brady.NotNullError("null-homotopy search budget exhausted")
+            queue.append(nxt)
+    raise bestvina_brady.NotNullError("cycle admits no null-homotopy within the length cap")
+
+
+def closed_walks(delta, longest):
+    """Every closed edge walk of 1 to longest edges, from every vertex."""
+    walks = []
+
+    def extend(walk, at, first, length):
+        if len(walk) == length:
+            if at == first:
+                walks.append(tuple(walk))
+            return
+        for v in sorted(delta.adjacency[at]):
+            extend(walk + [(at, v)], v, first, length)
+
+    for length in range(1, longest + 1):
+        for v in delta.vertices:
+            extend([], v, v, length)
+    return walks
+
+
+@pytest.mark.parametrize("delta,tree,walks", [(K3, K3_TREE, 30), (OCTA, OCTA_TREE, 360)],
+                         ids=["K3", "octahedron"])
+def test_find_null_homotopy_matches_the_reference_search(delta, tree, walks):
+    model = BBModel(delta, tree)
+    cycles = closed_walks(delta, 4)
+    assert len(cycles) == walks
+    for cycle in cycles + [model.edge_cycle(e) for e in delta.directed_edges()]:
+        assert find_null_homotopy(delta, cycle) == reference_find_null_homotopy(delta, cycle)
+
+
+def test_find_null_homotopy_matches_the_reference_at_tight_budgets():
+    triangle = (("a", "b"), ("b", "c"), ("c", "a"))
+    for cycle in (triangle * 2, triangle + (("a", "c"), ("c", "b"), ("b", "a"))):
+        for max_states in range(1, 40):
+            outcomes = []
+            for search in (find_null_homotopy, reference_find_null_homotopy):
+                try:
+                    outcomes.append(search(K3, cycle, max_states=max_states))
+                except bestvina_brady.NotNullError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (cycle, max_states)
+
+
+def test_a_found_null_homotopy_that_does_not_replay_is_an_internal_defect(monkeypatch):
+    # the search replays the homotopy it returns; one whose moves do not
+    # reach the empty cycle is a defect of the search, exit 4
+    monkeypatch.setattr(bestvina_brady, "replay_null_homotopy",
+                        lambda delta, nh: nh.start)
+    with pytest.raises(InternalCheckError, match="not \\(\\)"):
+        find_null_homotopy(K3, (("a", "b"), ("b", "a")))
+
+    def refuse(delta, nh):
+        raise ValueError("move 0: edges are not mutually reverse")
+
+    monkeypatch.setattr(bestvina_brady, "replay_null_homotopy", refuse)
+    with pytest.raises(InternalCheckError, match="not mutually reverse"):
+        find_null_homotopy(K3, (("a", "b"), ("b", "a")))
+
+
+def unmemoised_phi_image(delta, tree, n, let):
+    """The shift of one letter by its definition, P(iota, n) x^(n+1) Q(tau, n)
+    for a positive letter and its inverse for a negative one."""
+    u, v = delta.letter_edge(let.gen)
+    image = concat(tree_word(delta, tree, n, delta.base, u),
+                   wpow(Word((Letter(let.gen, 1),)), n + 1),
+                   tree_word(delta, tree, n, v, delta.base))
+    return image if let.sign > 0 else image.inverse()
+
+
+@pytest.mark.parametrize("delta,tree", [(K3, K3_TREE), (OCTA, OCTA_TREE)],
+                         ids=["K3", "octahedron"])
+def test_bb_phi_matches_its_definition_with_a_fresh_and_a_warm_table(delta, tree):
+    letters = [delta.edge_letter(e, sign) for e in delta.directed_edges() for sign in (1, -1)]
+    warm = {}
+    for n in range(-3, 4):
+        for let in letters:
+            want = unmemoised_phi_image(delta, tree, n, let)
+            assert bb_phi(delta, tree, n, Word((let,))) == want
+            assert bb_phi(delta, tree, n, Word((let,)), {}) == want
+            assert bb_phi(delta, tree, n, Word((let,)), warm) == want
+            assert bb_phi(delta, tree, n, Word((let,)), warm) == want
+        # a word repeating letters of both signs, against the warm table
+        w = Word(tuple(letters) * 2)
+        want = concat(*(unmemoised_phi_image(delta, tree, n, let) for let in w))
+        assert bb_phi(delta, tree, n, w) == bb_phi(delta, tree, n, w, warm) == want
+    assert len(warm) == 7 * len(letters)
+
+
+def test_bb_phi_rejects_a_letter_that_is_not_an_edge_with_any_table():
+    for images in (None, {}):
+        with pytest.raises(ValueError, match="does not name a directed edge"):
+            bb_phi(K3, K3_TREE, 1, word("a_b a_q"), images)
+        assert not images or set(images) == {(Letter("a_b", 1), 1)}
+
+
+def test_the_emitters_share_the_model_s_letter_images_and_the_tree_keeps_none():
+    # a tree is shared by models, so a table on it would warm every model
+    model = BBModel(K3, K3_TREE)
+    bb_relator_scheme(K3, K3_TREE, "stable", ("a", "b"), 2, model)
+    assert {n for _, n in model._images} == {2, 3}
+    assert vars(K3_TREE).keys() == {"delta", "parent", "root_paths"}
 
 
 def test_null_homotopy_to_power_sequence():

@@ -786,3 +786,24 @@ def test_malformed_charge_map_is_a_usage_error(tmp_path, capsys, data, field):
     theta.write_text(json.dumps(data))
     assert main(["depth", "--theta", str(theta), "--factors", "x1 y1,x2 y2"]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["depth"], id="depth"),
+    pytest.param(["distort", "--sub-gens", "a", "--length", "2"], id="distort"),
+])
+def test_a_factor_generator_without_a_charge_is_a_usage_error(tmp_path, capsys, command):
+    # the charge map used to be indexed unchecked, printing only "error: 'c'"
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"rank": 1, "charges": {"a": [1], "b": [0]}}))
+    assert main(command + ["--theta", str(theta), "--factors", "a b,c"]) == 2
+    assert "generator 'c' of factor 2 has no charge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["pulldown", "--word", "q", "--k", "1", "--h", "1"], id="pulldown"),
+    pytest.param(["flatten", "--word", "e1_1 q"], id="flatten"),
+])
+def test_a_word_outside_the_context_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --word: generator 'q' is not in the context\n"

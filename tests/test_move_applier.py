@@ -368,6 +368,24 @@ def test_free_to_a_word_not_freely_equal_is_an_internal_defect():
     assert editor.letters == list(word("x y").letters) and not editor.moves
 
 
+def test_free_to_the_current_reduced_word_appends_no_move(monkeypatch):
+    editor = WordEditor(PRESENTATIONS["Z2"], word("x x' y"))
+    editor.contract(0)
+    moves, record = list(editor.moves), editor.sequence()._record
+
+    def no_walk(*args):
+        raise AssertionError("free_to walked a word that is its target")
+
+    monkeypatch.setattr(seqbuild, "free_equality_sequence", no_walk)
+    editor.free_to(word("y"))
+    assert editor.moves == moves and editor.sequence()._record == record
+    monkeypatch.undo()
+    # a target with a cancelling pair still gets its contraction and expansion
+    editor.expand(1, Letter("x", 1))
+    editor.free_to(word("y x x'"))
+    assert editor.moves[2:] == [FreeContract(1), FreeExpand(1, Letter("x", 1))]
+
+
 # ---------------------------------------------------------------------------
 # emission walks nothing; conversion to an expression walks once
 

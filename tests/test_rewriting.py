@@ -452,6 +452,17 @@ def test_splice_sequence_offsets_moves():
     assert replay_sequence(pres, outer).endpoints[1] == word("y y")
 
 
+def test_splice_sequence_at_offset_zero_is_the_sequence_s_own_moves():
+    # the moves are frozen, so at offset 0 none is built again
+    seq = DerivationSequence(word("x y x' y'"), (
+        FreeExpand(4, Letter("y", 1)), FreeContract(4), ApplyRelator(0, 0, 1, 0, 4)))
+    assert splice_sequence(seq, 0) is seq.moves
+    for offset in (1, 3):
+        assert splice_sequence(seq, offset) == (
+            FreeExpand(4 + offset, Letter("y", 1)), FreeContract(4 + offset),
+            ApplyRelator(offset, 0, 1, 0, 4))
+
+
 def test_verify_scheme_trivial_row():
     scheme = Scheme((SchemeRow(word("x x'"), 0),))
     report = verify_scheme(Z2, scheme, budget=SearchBudget(max_word_length=8))
