@@ -527,8 +527,12 @@ def _replayed(delta: FlagComplex, start: Tuple[Edge, ...],
 
 
 class BBModel:
-    """Caches the kernel presentation, per-cycle null-homotopies, and
-    transposition gadgets for one complex and spanning tree."""
+    """The kernel presentation of one complex and spanning tree, and four
+    caches the emitters fill as they run: null-homotopies per edge cycle,
+    commutator fills per swapped letter pair, shift images per (letter, n)
+    and pair fills per (edge, k, inverted) of rewrite_pair_to_edge_power.
+    Each cached value is what the call would build afresh, so an emitted
+    scheme does not depend on what the model has cached."""
 
     def __init__(self, delta: FlagComplex, tree: SpanningTree):
         self.delta = delta
@@ -537,6 +541,7 @@ class BBModel:
         self._homotopies: Dict[Tuple[Edge, ...], CombinatorialNullHomotopy] = {}
         self._swap_fills: Dict[Tuple[Letter, Letter], DerivationSequence] = {}
         self._images: Images = {}
+        self._pair_fills: Dict[Tuple[Edge, int, bool], DerivationSequence] = {}
 
     def edge_cycle(self, e: Edge) -> Tuple[Edge, ...]:
         return tuple(
@@ -688,26 +693,28 @@ class BBModel:
         edge's tree cycle at power k."""
         if k == 0:
             return
-        cycle = self.edge_cycle(e)  # path(iota) . e . path(tau)
-        shift = abs(k) * self.depth(e[0])
-        cycle_word = self.power_word(cycle, k)
-        rot_word = concat(cycle_word[shift:], cycle_word[:shift])
-        tail = cycle_word[shift:]  # e^k Q(tau, k)
-        sub = WordEditor(self.pres, rot_word)
-        sub.insert_cancelling(len(rot_word), tail)
-        self.fill_cycle_power(sub, len(tail), self.null_homotopy(cycle), k)
-        sub.free_to(EMPTY)
-        null_rot = sub.sequence()  # fills e^k Q(tau,k) P(iota,k)
-        edge_word = Word((self.delta.edge_letter(e),))
-        old_len = len(cycle_word) - abs(k)
+        fill = self._pair_fills.get((e, k, inverted))
+        if fill is None:
+            cycle = self.edge_cycle(e)  # path(iota) . e . path(tau)
+            shift = abs(k) * self.depth(e[0])
+            cycle_word = self.power_word(cycle, k)
+            tail = cycle_word[shift:]  # e^k Q(tau, k)
+            sub = WordEditor(self.pres, concat(tail, cycle_word[:shift]))
+            sub.insert_cancelling(len(cycle_word), tail)
+            self.fill_cycle_power(sub, len(tail), self.null_homotopy(cycle), k)
+            sub.free_to(EMPTY)
+            fill = sub.sequence()  # fills e^k Q(tau,k) P(iota,k)
+            if inverted:  # fills P(iota,k)^-1 Q(tau,k)^-1 e^-k
+                fill = mirror_sequence(self.pres, fill)
+            self._pair_fills[e, k, inverted] = fill
+        edge_power = wpow(Word((self.delta.edge_letter(e),)), -k)
         if inverted:
-            mirrored = mirror_sequence(self.pres, null_rot)
-            # mirrored fills P(iota,k)^-1 Q(tau,k)^-1 e^-k
-            editor.insert_cancelling(pos + old_len, wpow(edge_word, -k))
-            editor.apply_subsequence(pos, mirrored)
+            old_len = abs(k) * (self.depth(e[0]) + self.depth(e[1]))
+            editor.insert_cancelling(pos + old_len, edge_power)
+            editor.apply_subsequence(pos, fill)
         else:
-            editor.insert_cancelling(pos, wpow(edge_word, -k))
-            editor.apply_subsequence(pos + abs(k), null_rot)
+            editor.insert_cancelling(pos, edge_power)
+            editor.apply_subsequence(pos + abs(k), fill)
 
 
 def _model_for(delta: FlagComplex, tree: SpanningTree,

@@ -38,7 +38,7 @@ from .oracle import (
 from .pulldown import (BOUND_INPUTS, compose_bounds, flatten_word, parse_bound, phi,
                        standard_context)
 from .rewriting import InternalCheckError, verify_scheme
-from .words import free_reduce, word
+from .words import UnknownGeneratorError, free_reduce, word
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -413,7 +413,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, UnknownGeneratorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -784,6 +784,50 @@ def test_rarea_sample_shares_the_given_model():
         rarea_sample(K3, spanning_tree(K3), 1, model=model)
 
 
+def test_rarea_sample_builds_each_pair_fill_once(monkeypatch):
+    pairs, fills = [], []
+    rewrite = BBModel.rewrite_pair_to_edge_power
+    fill_cycle_power = BBModel.fill_cycle_power
+
+    def counted_rewrite(model, editor, pos, e, k, inverted):
+        pairs.append((id(model), e, k, inverted))
+        return rewrite(model, editor, pos, e, k, inverted)
+
+    def counted_fill(model, *args):
+        fills.append(id(model))
+        return fill_cycle_power(model, *args)
+
+    monkeypatch.setattr(BBModel, "rewrite_pair_to_edge_power", counted_rewrite)
+    monkeypatch.setattr(BBModel, "fill_cycle_power", counted_fill)
+    models = [BBModel(K3, K3_TREE), BBModel(OCTA, OCTA_TREE)]
+    for model in models:
+        rarea_sample(model.delta, model.tree, 2, model=model)
+    # the schemes of one bb-schemes batch: 936 pair rewrites over 300 keys,
+    # a fill built once per key; a power 0 builds none
+    keys = set(pairs)
+    assert (len(pairs), len(keys)) == (936, 300)
+    assert len(fills) == sum(k != 0 for _, _, k, _ in keys) == 270
+    assert sum(len(model._pair_fills) for model in models) == 270
+
+
+@pytest.mark.parametrize("delta,tree", [(K3, K3_TREE), (OCTA, OCTA_TREE)],
+                         ids=["K3", "octahedron"])
+def test_a_warm_model_emits_what_a_fresh_model_emits(delta, tree):
+    members = [bestvina_brady.member_scheme(BBModel(delta, tree), member)
+               for member in bb_indexed_families(delta, tree, 2)]
+
+    def emitted(scheme, model):
+        seq = bb_relator_scheme(delta, tree, *scheme, model)
+        return seq.start, seq.moves
+
+    fresh = [emitted(scheme, BBModel(delta, tree)) for scheme in members]
+    for order in (members, members[::-1]):
+        warm = BBModel(delta, tree)
+        got = {scheme: emitted(scheme, warm) for scheme in order}
+        assert [got[scheme] for scheme in members] == fresh
+        assert warm._pair_fills
+
+
 def test_bb_complexes_builds_each_presentation_and_homotopy_once(monkeypatch):
     from fillcalc import acceptance
 

@@ -5,7 +5,7 @@ import pytest
 from fillcalc import acceptance, bestvina_brady, cli, fileio, oracle, pulldown, rewriting
 from fillcalc.cli import main
 from fillcalc.rewriting import ApplyRelator, DerivationSequence, FreeContract, FreeExpand
-from fillcalc.words import Letter, word
+from fillcalc.words import Letter, UnknownGeneratorError, word
 
 
 @pytest.fixture
@@ -445,6 +445,23 @@ def test_any_other_exception_is_an_internal_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: TypeError: unsupported operand\n"
+
+
+@pytest.mark.parametrize("exc,code,err", [
+    # a lookup that fails inside fillcalc is a defect, not bad input
+    (KeyError("missing"), 4, "internal error: KeyError: 'missing'\n"),
+    (UnknownGeneratorError("q"), 2, "error: 'q'\n"),
+], ids=["KeyError", "UnknownGeneratorError"])
+def test_only_an_unknown_generator_lookup_is_a_usage_error(monkeypatch, capsys, exc, code,
+                                                           err):
+    def lookup(args, report):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_reduce", lookup)
+    assert main(["reduce", "--word", "x"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
 
 
 def test_construct_fiber(tmp_path, capsys):
