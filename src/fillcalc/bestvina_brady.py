@@ -730,6 +730,8 @@ def _model_for(delta: FlagComplex, tree: SpanningTree,
 
 def scheme_bound(model: BBModel, kind: str, n: int) -> int:
     """The stated area bound of each emitted scheme."""
+    if kind not in ("e-ebar", "efg", "inverse-efg", "stable"):
+        raise ValueError(f"unknown scheme kind {kind!r}")
     m = abs(n)
     K, L = model.K, model.L
     return {

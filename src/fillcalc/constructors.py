@@ -14,6 +14,7 @@ from . import intlinalg
 from .intlinalg import NotSurjectiveError  # re-exported: raised by adapt_basis
 from .oracle import DirectProductSpec
 from .rewriting import GroupPresentation
+from .seqbuild import WordEditor
 from .words import (
     EMPTY,
     ChargeMap,
@@ -578,8 +579,6 @@ def k32_witness_filling(n: int):
     commutator block to the subgroup letter, walk it through the (c e)^n
     power one crossing at a time (each crossing re-expresses it on the right
     side), and cancel.  Area 6n + 2."""
-    from .seqbuild import WordEditor
-
     am = k32_amalgam()
     editor = WordEditor(am.presentation, k32_witness(1, n))
     u_s = word("a b a' b'")

@@ -8,6 +8,7 @@ budget's word-length cap; exhaustion is a distinguishable outcome.
 
 from __future__ import annotations
 
+import heapq
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -719,8 +720,6 @@ def find_filling(
     area_exact, a reduced word longer than the cap exhausts the budget.  No
     path runs deeper than the budget's ``max_area``; a search cut there
     that finds no filling exhausts the budget."""
-    import heapq
-
     clock = _Clock(budget)
     found = _search_start(pres, w, budget)
     if isinstance(found, AreaResult):

@@ -17,7 +17,7 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from .constructors import KnmrSpec, knmr_spec_ambient
-from .oracle import DirectProductSpec, dp_equal
+from .oracle import DirectProductSpec, NotNullHomotopicError, dp_equal
 from .rewriting import (
     DerivationSequence,
     FillingExpression,
@@ -516,8 +516,6 @@ def base_filling(ctx: PulldownContext, w: Word) -> FillingExpression:
     its letters factor by factor (one commutator relator per transposition)
     and cancelling each factor's block freely."""
     if not dp_equal(ctx.spec, w, EMPTY):
-        from .oracle import NotNullHomotopicError
-
         raise NotNullHomotopicError(f"{w} is not trivial in the product")
     editor = WordEditor(ctx.presentation, w)
     editor.sort(0, len(w), lambda x: ctx.spec.factor_of[x.gen])

@@ -9,6 +9,7 @@ converters between them preserve area and never increase heights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add
 from typing import (
     Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -305,20 +306,34 @@ class FillingExpression:
         """The product of the terms x r x^-1, letter for letter."""
         return self._telescope(pres)[0]
 
+    @cached_property
+    def _shared(self) -> Tuple[int, ...]:
+        """For each term, how many leading letters its conjugator shares
+        with the previous term's (0 for the first term)."""
+        shared: List[int] = []
+        prev: Tuple[Letter, ...] = ()
+        for conj, _, _ in self.terms:
+            x = conj.letters
+            c, n = 0, min(len(prev), len(x))
+            while c < n and prev[c] == x[c]:
+                c += 1
+            shared.append(c)
+            prev = x
+        return tuple(shared)
+
     def _telescope(self, pres: GroupPresentation) -> Tuple[Word, Word]:
         """One walk over the terms: the boundary, and the telescoped word
         freely equal to it.  The telescoped word replaces each x_i^-1 x_(i+1)
-        by a^-1 b, where x_i = p a and x_(i+1) = p b share the prefix p, so
-        it is as long as the conjugators' new suffixes, not the conjugators.
-        Each term's x^-1 is likewise b^-1 followed by the tail p^-1 of the
-        previous term's inverse."""
+        by a^-1 b, where x_i = p a and x_(i+1) = p b share the prefix p (see
+        ``_shared``), so it is as long as the conjugators' new suffixes, not
+        the conjugators.  Each term's x^-1 is likewise b^-1 followed by the
+        tail p^-1 of the previous term's inverse."""
         relators = pres.relators
         signed: Dict[Tuple[int, int], Tuple[Letter, ...]] = {}
         full: List[Letter] = []
         tele: List[Letter] = []
-        prev: Tuple[Letter, ...] = ()
-        prev_inv: Tuple[Letter, ...] = ()
-        for i, (conj, rel, sign) in enumerate(self.terms):
+        prev_inv: Tuple[Letter, ...] = ()  # the previous conjugator's inverse
+        for i, ((conj, rel, sign), c) in enumerate(zip(self.terms, self._shared)):
             if not 0 <= rel < len(relators):
                 raise ValueError(f"term {i}: relator index {rel} out of range")
             if sign not in (1, -1):
@@ -328,9 +343,8 @@ class FillingExpression:
                 base = relators[rel]
                 r = signed[rel, sign] = (base if sign > 0 else base.inverse()).letters
             x = conj.letters
-            c = _common_prefix(prev, x)
             new = x[c:]
-            gone = len(prev) - c
+            gone = len(prev_inv) - c
             tele += prev_inv[:gone]
             tele += new
             tele += r
@@ -338,7 +352,7 @@ class FillingExpression:
             full += x
             full += r
             full += inv
-            prev, prev_inv = x, inv
+            prev_inv = inv
         tele += prev_inv
         return Word._of(tuple(full)), Word._of(tuple(tele))
 
@@ -348,44 +362,24 @@ class FillingExpression:
     def expr_heights(self, theta: ChargeMap) -> Tuple[int, ...]:
         """Per-direction maxima of the conjugators' heights.  The prefix
         charges of the current conjugator sit on a stack that each term cuts
-        back to the prefix it shares with the previous conjugator: those
-        prefixes are already in the maximum, so only new letters are
-        charged."""
+        back to the prefix it shares with the previous conjugator (see
+        ``_shared``): those prefixes are already in the maximum, so only new
+        letters are charged."""
         zero = (0,) * theta.rank
         charges = [zero]  # charges[j]: charge of the conjugator's first j letters
         vectors: Dict[Letter, Tuple[int, ...]] = {}
         best = zero
-        prev: Tuple[Letter, ...] = ()
-        for conj, _, _ in self.terms:
-            x = conj.letters
-            c = _common_prefix(prev, x)
+        for (conj, _, _), c in zip(self.terms, self._shared):
             del charges[c + 1 :]
             total = charges[c]
-            for let in x[c:]:
+            for let in conj.letters[c:]:
                 vec = vectors.get(let)
                 if vec is None:
                     vec = vectors[let] = theta.of_letter(let)
                 total = tuple(map(add, total, vec))
                 best = tuple(map(max, best, map(abs, total)))
                 charges.append(total)
-            prev = x
         return best
-
-
-def _common_prefix(a: tuple, b: tuple) -> int:
-    """The length of the longest common prefix of two tuples, by bisection
-    on slice equality, which compares in C."""
-    lo, hi = 0, min(len(a), len(b))
-    if a[:hi] == b[:hi]:
-        return hi
-    # a[:lo] == b[:lo] and a[:hi] != b[:hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if a[:mid] == b[:mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 @dataclass(frozen=True)

@@ -742,6 +742,13 @@ def test_scheme_bounds_compute_k_and_l_once(monkeypatch):
     assert len(cycles) == len(K3.directed_edges())
 
 
+def test_scheme_bound_rejects_an_unknown_kind_before_computing_k():
+    model = BBModel(K3, K3_TREE)
+    with pytest.raises(ValueError, match="^unknown scheme kind 'bogus'$"):
+        scheme_bound(model, "bogus", 1)
+    assert "K" not in vars(model)
+
+
 def test_emitters_reject_a_model_of_another_complex_or_tree():
     from fillcalc.bestvina_brady import null_homotopy_to_sequence
 

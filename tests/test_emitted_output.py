@@ -4,7 +4,9 @@ A sha256 over every Bestvina-Brady scheme of K3 and the octahedron at index
 bound 2 (814 sequences) and over the flattenings of the pulldown-pipeline
 criterion's 200 filling expressions, in that order.  A change to how moves
 are applied, spliced, mirrored, reversed or turned into expressions must
-leave every emitted move and every term as it was."""
+leave every emitted move and every term as it was.  A second sha256 pins
+how those flattenings are validated: each accounting and each input's
+conjugator heights."""
 
 import hashlib
 import random
@@ -15,6 +17,7 @@ from fillcalc.rewriting import FillingExpression, replay_sequence, validate_expr
 from fillcalc.words import EMPTY, Letter, Word, free_reduce
 
 EMITTED_SHA256 = "2fb968b663fafe5b3a6dcc11be8833ae2064cae2fd6f409fc13e59ff5810e4e9"
+VALIDATION_SHA256 = "1e1e5706240ac419a5b8138df8c2fb660e454ac386db9f86e69268d76a4605d7"
 
 
 def bb_schemes():
@@ -29,9 +32,10 @@ def bb_schemes():
             yield seq
 
 
-def flattened_expressions():
+def validated_flattenings():
     """The criterion's draw: seed 13, alternating the (3,2,1) and (4,2,2)
-    contexts, up to three terms conjugated by up to four letters."""
+    contexts, up to three terms conjugated by up to four letters.  Yields
+    each input, its flattening and the flattening's accounting."""
     contexts = [standard_context(3, 2, 1), standard_context(4, 2, 2)]
     rng = random.Random(13)
     for trial in range(200):
@@ -46,8 +50,7 @@ def flattened_expressions():
         expr = FillingExpression(tuple(terms))
         w = free_reduce(expr.boundary(ctx.presentation))
         out = flatten_expression(ctx, expr, w)
-        validate_expression(ctx.presentation, out, w, ctx.theta)
-        yield out
+        yield ctx, expr, out, validate_expression(ctx.presentation, out, w, ctx.theta)
 
 
 def test_emitted_sequences_and_expressions_are_pinned():
@@ -57,6 +60,15 @@ def test_emitted_sequences_and_expressions_are_pinned():
         digest.update(repr((str(seq.start), seq.moves)).encode())
         count += 1
     assert count == 814
-    for out in flattened_expressions():
+    for _, _, out, _ in validated_flattenings():
         digest.update(repr(out.terms).encode())
     assert digest.hexdigest() == EMITTED_SHA256
+
+
+def test_validation_accounting_is_pinned():
+    digest = hashlib.sha256()
+    for ctx, expr, _, acct in validated_flattenings():
+        start, end = acct.endpoints
+        digest.update(repr((acct.area, acct.radius, acct.heights, str(start), str(end),
+                            expr.expr_heights(ctx.theta))).encode())
+    assert digest.hexdigest() == VALIDATION_SHA256

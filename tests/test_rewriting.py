@@ -261,6 +261,9 @@ def test_validate_expression_matches_the_whole_boundary(case, data):
     discrepancy."""
     pres, theta = SHARED_PREFIX_CASES[case]
     expr = data.draw(shared_prefix_expressions(pres))
+    assert expr._shared == tuple(
+        max(j for j in range(len(x) + 1) if x[:j] == y[:j])
+        for (x, _, _), (y, _, _) in zip(((Word(), 0, 1),) + expr.terms, expr.terms))
     _, reduced = reference_validation(pres, expr, Word(), theta)
     perturbed = free_reduce(concat(reduced, data.draw(words_over(pres, 3))))
     for w in (reduced, perturbed):
