@@ -358,7 +358,7 @@ def check_bb_complexes() -> str:
         for idx in (0, 1, 2):
             envelope = max(
                 bb.scheme_bound(model, kind, idx)
-                for kind in ("e-ebar", "efg", "inverse-efg", "stable")
+                for kind in bb.SCHEME_KINDS
             )
             worst = max(r["upper"] for r in rows if r["index"] == idx)
             if worst > envelope:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from collections import deque
+from collections import abc, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -33,6 +33,7 @@ from .words import EMPTY, GENERATOR_NAME, Letter, Word, concat, free_reduce, wor
 
 __all__ = [
     "FlagComplex",
+    "SCHEME_KINDS",
     "SpanningTree",
     "NullHomotopyMove",
     "CombinatorialNullHomotopy",
@@ -61,8 +62,8 @@ Images = Dict[Tuple[Letter, int], Tuple[Letter, ...]]
 
 
 class FlagComplex:
-    """A finite flag complex given by its one-skeleton; simplices are the
-    cliques, so only the graph and a base vertex are stored."""
+    """A finite flag complex given by its one-skeleton and a base vertex;
+    simplices are the cliques, and the triangle cycles are enumerated once."""
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[Tuple[str, str]],
                  base: Optional[str] = None):
@@ -93,6 +94,14 @@ class FlagComplex:
             )
             for v in self.vertices
         }
+        # per triangle, orientation (u, v, w) then (u, w, v), rotations 0..2
+        cycles: List[Tuple[Edge, Edge, Edge]] = []
+        for u, v, w in self.triangles():
+            for a, b, c in ((u, v, w), (u, w, v)):
+                cyc = ((a, b), (b, c), (c, a))
+                cycles.extend(cyc[k:] + cyc[:k] for k in range(3))
+        self.triangle_cycles = tuple(cycles)
+        self.triangle_cycle_set = frozenset(cycles)
 
     def triangles(self) -> List[Tuple[str, str, str]]:
         out = []
@@ -113,6 +122,19 @@ class FlagComplex:
             out.append((u, v))
             out.append((v, u))
         return out
+
+    def read_edges(self, items: Iterable) -> Tuple[Edge, ...]:
+        """A caller's edges as vertex-pair tuples, so lists and two-letter
+        strings read as tuples do; the first item that is no directed edge
+        raises ValueError."""
+        out = []
+        for item in items:
+            e = tuple(item) if isinstance(item, abc.Sequence) else ()
+            if not (len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)
+                    and e[1] in self.adjacency.get(e[0], ())):
+                raise ValueError(f"{item!r} is not an edge")
+            out.append(e)
+        return tuple(out)
 
     def edge_letter(self, e: Edge, sign: int = 1) -> Letter:
         if frozenset(e) not in self.edge_set:
@@ -205,16 +227,6 @@ def raag_presentation(delta: FlagComplex) -> GroupPresentation:
     return GroupPresentation(delta.vertices, relators)
 
 
-def _cycles_of_triangle(delta: FlagComplex, trio) -> List[Tuple[Edge, Edge, Edge]]:
-    u, v, w = trio
-    out = []
-    for a, b, c in ((u, v, w), (u, w, v)):
-        cyc = ((a, b), (b, c), (c, a))
-        for k in range(3):
-            out.append(cyc[k:] + cyc[:k])
-    return out
-
-
 def dicks_leary_presentation(delta: FlagComplex) -> GroupPresentation:
     """The kernel presentation on directed edges: an edge cancels its
     reverse, and each triangle cycle gives a positive and a negative relator.
@@ -228,7 +240,7 @@ def dicks_leary_presentation(delta: FlagComplex) -> GroupPresentation:
         relators.append(
             Word((delta.edge_letter(e), delta.edge_letter((e[1], e[0]))))
         )
-    for cyc in _triangle_cycles(delta):
+    for cyc in delta.triangle_cycles:
         letters = tuple(delta.edge_letter(e) for e in cyc)
         relators.append(Word(letters))
         relators.append(Word(tuple(l.inverse() for l in letters)))
@@ -365,22 +377,6 @@ class CombinatorialNullHomotopy:
         return len(self.moves)
 
 
-def _is_cycle(delta: FlagComplex, cyc: Sequence[Edge]) -> bool:
-    if not cyc:
-        return True
-    for e in cyc:
-        if frozenset(e) not in delta.edge_set:
-            return False
-    return all(cyc[i][1] == cyc[(i + 1) % len(cyc)][0] for i in range(len(cyc)))
-
-
-def _triangle_cycles(delta: FlagComplex) -> List[Tuple[Edge, Edge, Edge]]:
-    out = []
-    for trio in delta.triangles():
-        out.extend(_cycles_of_triangle(delta, trio))
-    return out
-
-
 def _attach(cyc: Tuple[Edge, ...], k: int) -> Optional[str]:
     """The vertex an expansion at position k must start from: the end of
     edge k-1, or the cycle's start vertex at the seam k = 0; any vertex
@@ -391,38 +387,35 @@ def _attach(cyc: Tuple[Edge, ...], k: int) -> Optional[str]:
 
 
 def apply_null_homotopy_move(
-    delta: FlagComplex, cyc: Tuple[Edge, ...], move: NullHomotopyMove
+    delta: FlagComplex, cyc: Sequence[Edge], move: NullHomotopyMove
 ) -> Tuple[Edge, ...]:
+    cyc = delta.read_edges(cyc)
     k = move.pos
     if not 0 <= k <= len(cyc):
         raise ValueError("position out of range")
     attach = _attach(cyc, k)
     if move.kind == "1-expand":
-        (e,) = move.edges
-        if frozenset(e) not in delta.edge_set:
-            raise ValueError(f"{e} is not an edge")
+        (e,) = delta.read_edges(move.edges)
         if attach is not None and e[0] != attach:
             raise ValueError("edge does not start at the junction vertex")
         return cyc[:k] + (e, (e[1], e[0])) + cyc[k:]
     if move.kind == "1-collapse":
         if k + 1 >= len(cyc):
             raise ValueError("position out of range")
-        e, f = cyc[k], cyc[k + 1]
-        if f != (e[1], e[0]):
+        if cyc[k + 1] != cyc[k][::-1]:
             raise ValueError("edges are not mutually reverse")
         return cyc[:k] + cyc[k + 2 :]
     if move.kind == "2-expand":
-        e, f, g = move.edges
-        if not _is_cycle(delta, (e, f, g)) or len({e[0], f[0], g[0]}) != 3:
+        cell = delta.read_edges(move.edges)
+        if cell not in delta.triangle_cycle_set:
             raise ValueError("edges do not form a triangle cycle")
-        if attach is not None and e[0] != attach:
+        if attach is not None and cell[0][0] != attach:
             raise ValueError("triangle does not start at the junction vertex")
-        return cyc[:k] + (e, f, g) + cyc[k:]
+        return cyc[:k] + cell + cyc[k:]
     if move.kind == "2-collapse":
         if k + 2 > len(cyc) - 1:
             raise ValueError("position out of range")
-        e, f, g = cyc[k], cyc[k + 1], cyc[k + 2]
-        if not _is_cycle(delta, (e, f, g)) or len({e[0], f[0], g[0]}) != 3:
+        if cyc[k : k + 3] not in delta.triangle_cycle_set:
             raise ValueError("edges do not form a triangle cycle")
         return cyc[:k] + cyc[k + 3 :]
     raise ValueError(f"unknown move kind {move.kind!r}")
@@ -431,7 +424,7 @@ def apply_null_homotopy_move(
 def replay_null_homotopy(
     delta: FlagComplex, nh: CombinatorialNullHomotopy
 ) -> Tuple[Edge, ...]:
-    cyc = nh.start
+    cyc = delta.read_edges(nh.start)
     for i, move in enumerate(nh.moves):
         try:
             cyc = apply_null_homotopy_move(delta, cyc, move)
@@ -447,29 +440,26 @@ def find_null_homotopy(
     shortest combinatorial null-homotopy; collapse-only moves are tried
     before expansions.  The empty cycle gets the empty homotopy.  Only the
     moves of the homotopy found are built, and it is replayed once."""
-    start = tuple(cycle)
-    if not _is_cycle(delta, start):
+    start = delta.read_edges(cycle)
+    if any(e[1] != f[0] for e, f in zip(start, start[1:] + start[:1])):
         raise ValueError("not a combinatorial cycle")
     if not start:
         return CombinatorialNullHomotopy(start, ())
     cap = len(start) + 4
-    triangles = _triangle_cycles(delta)
     # what an expansion inserts, by start vertex in cell order: an edge with
     # its reverse, or a triangle cycle
-    pairs: Dict[str, list] = {v: [] for v in delta.vertices}
-    for e in delta.directed_edges():
-        pairs[e[0]].append(((e,), (e, (e[1], e[0]))))
-    cells: Dict[str, list] = {v: [] for v in delta.vertices}
-    for t in triangles:
-        cells[t[0][0]].append((t, t))
+    darts = delta.directed_edges()
+    pairs = {v: [((e,), (e, e[::-1])) for e in darts if e[0] == v]
+             for v in delta.vertices}
+    cells = {v: [(t, t) for t in delta.triangle_cycles if t[0][0] == v]
+             for v in delta.vertices}
     expansions = (("1-expand", 2, pairs), ("2-expand", 3, cells))
-    triangle_set = set(triangles)
     # max_states is a cap: cycles are counted as they are added
     seen = {start: None}
     queue = deque([start])
     while queue:
         cyc = queue.popleft()
-        for nxt, move in _null_homotopy_steps(cyc, cap, triangle_set, expansions):
+        for nxt, move in _null_homotopy_steps(delta, cyc, cap, expansions):
             if nxt in seen:
                 continue
             seen[nxt] = (cyc, move)
@@ -481,7 +471,8 @@ def find_null_homotopy(
     raise NotNullError("cycle admits no null-homotopy within the length cap")
 
 
-def _null_homotopy_steps(cyc: Tuple[Edge, ...], cap: int, triangles, expansions):
+def _null_homotopy_steps(delta: FlagComplex, cyc: Tuple[Edge, ...], cap: int,
+                         expansions):
     """Each cycle one move from the closed cycle cyc, with the move's fields,
     in the search's order: 1-collapses, 2-collapses, then 1- and
     2-expansions within the cap, by position and cell."""
@@ -491,7 +482,7 @@ def _null_homotopy_steps(cyc: Tuple[Edge, ...], cap: int, triangles, expansions)
         if cyc[k + 1] == (e[1], e[0]):
             yield cyc[:k] + cyc[k + 2 :], ("1-collapse", k, ())
     for k in range(size - 2):
-        if cyc[k : k + 3] in triangles:
+        if cyc[k : k + 3] in delta.triangle_cycle_set:
             yield cyc[:k] + cyc[k + 3 :], ("2-collapse", k, ())
     for kind, grow, cells in expansions:
         if size + grow > cap:
@@ -670,7 +661,7 @@ class BBModel:
                          nh: CombinatorialNullHomotopy, k: int) -> None:
         """Remove the k-th power word of the homotopy's start cycle at pos by
         translating the combinatorial null-homotopy move by move."""
-        cyc = nh.start
+        cyc = self.delta.read_edges(nh.start)
         m = abs(k)
         for move in nh.moves:
             offset = pos + m * move.pos
@@ -728,9 +719,14 @@ def _model_for(delta: FlagComplex, tree: SpanningTree,
     return model
 
 
+# each scheme kind and the argument it takes
+_EDGE, _CYCLE = "a directed edge", "a triangle cycle of three edges"
+SCHEME_KINDS = {"e-ebar": _EDGE, "efg": _CYCLE, "inverse-efg": _CYCLE, "stable": _EDGE}
+
+
 def scheme_bound(model: BBModel, kind: str, n: int) -> int:
     """The stated area bound of each emitted scheme."""
-    if kind not in ("e-ebar", "efg", "inverse-efg", "stable"):
+    if kind not in SCHEME_KINDS:
         raise ValueError(f"unknown scheme kind {kind!r}")
     m = abs(n)
     K, L = model.K, model.L
@@ -753,18 +749,17 @@ def bb_relator_scheme(delta: FlagComplex, tree: SpanningTree, kind: str, args,
     emitters = {"e-ebar": lambda model, e, n: _scheme_closed(model, (e, e[::-1]), n),
                 "efg": _scheme_closed,
                 "inverse-efg": _scheme_inverse_cycle, "stable": _scheme_stable}
-    if kind not in emitters:
+    if kind not in SCHEME_KINDS:
         raise ValueError(f"unknown scheme kind {kind!r}")
     model = _model_for(delta, tree, model)
-    args = tuple(args)
-    if kind in ("efg", "inverse-efg"):
-        cyc = tuple(tuple(e) for e in args)
-        if (len(cyc) != 3 or any(len(e) != 2 for e in cyc) or not _is_cycle(delta, cyc)
-                or len({e[0] for e in cyc}) != 3):
-            raise ValueError(f"{kind} takes a triangle cycle of three edges, not {args!r}")
-    elif len(args) != 2 or frozenset(args) not in delta.edge_set:
-        raise ValueError(f"{kind} takes a directed edge, not {args!r}")
-    return emitters[kind](model, args, n)
+    cycle = SCHEME_KINDS[kind] == _CYCLE
+    try:
+        edges = delta.read_edges(args if cycle else [args])
+    except (TypeError, ValueError):  # no iterable, or an item that is no edge
+        edges = None
+    if edges is None or (cycle and edges not in delta.triangle_cycle_set):
+        raise ValueError(f"{kind} takes {SCHEME_KINDS[kind]}, not {args!r}")
+    return emitters[kind](model, edges if cycle else edges[0], n)
 
 
 def _scheme_closed(model: BBModel, walk: Sequence[Edge], n: int) -> DerivationSequence:

@@ -219,6 +219,9 @@ def _cmd_construct(args, report) -> int:
 
 
 def _cmd_bb(args, report) -> int:
+    if args.action == "present" and args.index_bound is not None:
+        raise ValueError("bb present takes no --index-bound")
+    index_bound = args.index_bound or 0
     delta = fileio.load_flag_complex(_load_json(args.complex))
     tree = bb.spanning_tree(delta)
     report["inputs"] = _digest(args.complex)
@@ -226,10 +229,10 @@ def _cmd_bb(args, report) -> int:
         pres = bb.dicks_leary_presentation(delta)
         report["verdicts"] = fileio.dump_presentation(pres)
     elif args.action == "families":
-        members = bb.bb_indexed_families(delta, tree, args.index_bound)
+        members = bb.bb_indexed_families(delta, tree, index_bound)
         report["verdicts"] = _members(members)
     else:  # rarea
-        rows = bb.rarea_sample(delta, tree, args.index_bound)
+        rows = bb.rarea_sample(delta, tree, index_bound)
         report["verdicts"] = {"table": rows}
     return EXIT_PASS
 
@@ -367,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_bb)
     p.add_argument("--complex", required=True)
     p.add_argument("action", choices=("present", "families", "rarea"))
-    p.add_argument("--index-bound", type=int, default=0, dest="index_bound")
+    p.add_argument("--index-bound", type=int, dest="index_bound")
 
     p = sub.add_parser("distort")
     p.set_defaults(run=_cmd_distort)

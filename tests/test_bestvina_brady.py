@@ -27,7 +27,6 @@ from fillcalc.bestvina_brady import (
     tree_word,
     triangle_complex,
 )
-from fillcalc.bestvina_brady import _triangle_cycles
 from fillcalc.oracle import (
     SearchBudget,
     area_exact,
@@ -243,6 +242,17 @@ def test_find_null_homotopy_max_states_is_a_cap(max_states, monkeypatch):
     assert len(added) < max_states
 
 
+def _is_cycle(delta, cyc):
+    """Closed walk on edges of delta: the predicate the search used before
+    the complex owned its triangle cycles."""
+    if not cyc:
+        return True
+    for e in cyc:
+        if frozenset(e) not in delta.edge_set:
+            return False
+    return all(cyc[i][1] == cyc[(i + 1) % len(cyc)][0] for i in range(len(cyc)))
+
+
 def reference_find_null_homotopy(delta, cycle, max_states=200_000):
     """The search as it was before it built only the cycles it needs: every
     candidate move as a NullHomotopyMove, applied and checked by
@@ -253,7 +263,7 @@ def reference_find_null_homotopy(delta, cycle, max_states=200_000):
     cap = len(start) + 4
     expansions = (
         ("1-expand", 2, [(e,) for e in delta.directed_edges()]),
-        ("2-expand", 3, _triangle_cycles(delta)),
+        ("2-expand", 3, delta.triangle_cycles),
     )
     seen = {start: None}
     queue = deque([start])
@@ -265,7 +275,7 @@ def reference_find_null_homotopy(delta, cycle, max_states=200_000):
                 moves.append(NullHomotopyMove("1-collapse", k))
         for k in range(len(cyc) - 2):
             tri = (cyc[k], cyc[k + 1], cyc[k + 2])
-            if len({e[0] for e in tri}) == 3 and bestvina_brady._is_cycle(delta, tri):
+            if len({e[0] for e in tri}) == 3 and _is_cycle(delta, tri):
                 moves.append(NullHomotopyMove("2-collapse", k))
         for kind, size, cells in expansions:
             if len(cyc) + size > cap:
@@ -412,15 +422,13 @@ def test_null_homotopy_to_power_sequence():
 @pytest.mark.parametrize("n", range(-3, 4))
 def test_k3_schemes_within_bounds(n):
     model = BBModel(K3, K3_TREE)
-    from fillcalc.bestvina_brady import _cycles_of_triangle
-
     for e in K3.directed_edges():
         for kind in ("e-ebar", "stable"):
             seq = bb_relator_scheme(K3, K3_TREE, kind, e, n, model)
             acct = replay_sequence(model.pres, seq)
             assert acct.endpoints[1] == EMPTY
             assert acct.area <= scheme_bound(model, kind, n), (kind, n)
-    for cyc in _cycles_of_triangle(K3, K3.triangles()[0]):
+    for cyc in K3.triangle_cycles:
         for kind in ("efg", "inverse-efg"):
             seq = bb_relator_scheme(K3, K3_TREE, kind, cyc, n, model)
             acct = replay_sequence(model.pres, seq)
@@ -431,15 +439,13 @@ def test_k3_schemes_within_bounds(n):
 @pytest.mark.parametrize("n", [-2, 0, 2])
 def test_octahedron_schemes_within_bounds(n):
     model = BBModel(OCTA, OCTA_TREE)
-    from fillcalc.bestvina_brady import _cycles_of_triangle
-
     for e in OCTA.directed_edges()[:4]:
         for kind in ("e-ebar", "stable"):
             seq = bb_relator_scheme(OCTA, OCTA_TREE, kind, e, n, model)
             acct = replay_sequence(model.pres, seq)
             assert acct.endpoints[1] == EMPTY
             assert acct.area <= scheme_bound(model, kind, n)
-    for cyc in _cycles_of_triangle(OCTA, OCTA.triangles()[0])[:2]:
+    for cyc in OCTA.triangle_cycles[:2]:
         for kind in ("efg", "inverse-efg"):
             seq = bb_relator_scheme(OCTA, OCTA_TREE, kind, cyc, n, model)
             acct = replay_sequence(model.pres, seq)
@@ -536,7 +542,7 @@ def test_two_step_fill_is_the_search_witness_on_k3():
 
 def test_two_step_fill_is_the_search_witness_on_the_octahedron():
     pairs = set()
-    for cyc in _triangle_cycles(OCTA):
+    for cyc in OCTA.triangle_cycles:
         for k in range(3):
             for sign in (1, -1):
                 a = OCTA.edge_letter(cyc[k], sign)
@@ -674,7 +680,6 @@ def test_expansion_at_seam_must_start_at_first_vertex(kind, bad, good):
     from fillcalc.bestvina_brady import (
         CombinatorialNullHomotopy,
         NullHomotopyMove,
-        _is_cycle,
         apply_null_homotopy_move,
         replay_null_homotopy,
     )

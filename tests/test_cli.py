@@ -197,6 +197,23 @@ def test_bb_present_and_families(k3, capsys):
     assert report["verdicts"]["members"]
 
 
+@pytest.mark.parametrize("bound", ["0", "5"])
+def test_bb_present_rejects_an_index_bound(k3, capsys, bound):
+    # present builds no family, and used to ignore the flag with exit 0
+    assert main(["bb", "--complex", k3, "present", "--index-bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bb present takes no --index-bound" in captured.err
+
+
+def test_bb_families_and_rarea_read_a_missing_index_bound_as_zero(k3, capsys):
+    for action in ("families", "rarea"):
+        assert main(["bb", "--complex", k3, action]) == 0
+        without = capsys.readouterr().out
+        assert main(["bb", "--complex", k3, action, "--index-bound", "0"]) == 0
+        assert capsys.readouterr().out == without
+
+
 def test_bb_rarea(k3, tmp_path):
     out = tmp_path / "r.json"
     assert main(
