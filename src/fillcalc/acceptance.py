@@ -245,14 +245,14 @@ def check_pulldown_pipeline() -> str:
         w = free_reduce(expr.boundary(pres))
         out = flatten_expression(ctx, expr, w)
         acct = _validated(pres, out, w, f"trial {trial}", theta)
-        for i in range(1, r + 1):
-            if acct.heights[i - 1] > max(heights(theta, w)[i - 1] + 1, 2):
+        hw = heights(theta, w)
+        he = expr.expr_heights(theta)
+        for i in range(r):
+            if acct.heights[i] > max(hw[i] + 1, 2):
                 raise _Failed(f"trial {trial}: heights")
         zeta = 1
-        for j in range(1, r + 1):
-            zeta *= max(
-                heights(theta, w)[j - 1] + 1, expr.expr_heights(theta)[j - 1] + 1, 2
-            ) ** 2
+        for i in range(r):
+            zeta *= max(hw[i] + 1, he[i] + 1, 2) ** 2
         bound = 7 ** (r - 1) * (7 * expr.area + 2 * r * len(w)) * zeta
         if out.area > bound:
             raise _Failed(f"trial {trial}: area {out.area} > {bound}")

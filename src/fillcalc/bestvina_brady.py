@@ -541,7 +541,8 @@ class BBModel:
             + self.tree.path(e[1], self.delta.base)
         )
 
-    def null_homotopy(self, cycle: Tuple[Edge, ...]) -> CombinatorialNullHomotopy:
+    def null_homotopy(self, cycle: Iterable) -> CombinatorialNullHomotopy:
+        cycle = self.delta.read_edges(cycle)
         if cycle not in self._homotopies:
             self._homotopies[cycle] = find_null_homotopy(self.delta, cycle)
         return self._homotopies[cycle]

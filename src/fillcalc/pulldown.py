@@ -142,12 +142,6 @@ class PulldownContext:
         if not 1 <= k <= self.rank:
             raise DirectionRangeError(f"direction {k} outside 1..{self.rank}")
 
-    def charge_k(self, w: Word, k: int) -> int:
-        return charge(self.theta, w)[k - 1]
-
-    def letter_charge_k(self, gen: str, k: int) -> int:
-        return self.theta.charges[gen][k - 1]
-
 
 def standard_context(n: int, m: int, r: int) -> PulldownContext:
     """The product of n rank-m free groups with the standard rank-r charge
@@ -163,7 +157,7 @@ def _ef_block(ctx: PulldownContext, k: int, h: int) -> Word:
 
 def _phi_letter(ctx: PulldownContext, k: int, let: Letter, h: int) -> Word:
     e, f = ctx.e(k), ctx.f(k)
-    t = ctx.letter_charge_k(let.gen, k)
+    t = ctx.theta.charges[let.gen][k - 1]
     in_first = ctx.spec.factor_of[let.gen] == 0
     if in_first:
         if let.sign > 0:
@@ -184,10 +178,9 @@ def _phi_letter(ctx: PulldownContext, k: int, let: Letter, h: int) -> Word:
     return concat(wpow(Word((e,)), t), Word((let,)))
 
 
-def phi(ctx: PulldownContext, k: int, w: Word, h: int) -> Word:
-    """Pull the word down in direction k, starting from height h: letterwise
-    substitution whose value is e_k^h w e_k^(-h-charge_k(w)) and whose
-    direction-k height is at most one."""
+def _pull(ctx: PulldownContext, k: int, w: Word, h: int) -> Tuple[Word, int]:
+    """phi's walk over the table of pulled-down letters: the pulled-down word
+    and the direction-k height it ends at, h plus w's direction-k charge."""
     ctx.check_direction(k)
     pulled = ctx._pulled
     out: List[Letter] = []
@@ -199,17 +192,19 @@ def phi(ctx: PulldownContext, k: int, w: Word, h: int) -> Word:
             # a generator outside the context raises here, before the store
             entry = pulled[key] = (
                 _phi_letter(ctx, k, let, level).letters,
-                let.sign * ctx.letter_charge_k(let.gen, k),
+                let.sign * ctx.theta.charges[let.gen][k - 1],
             )
         letters, step = entry
         out += letters
         level += step
-    return Word._of(tuple(out))
+    return Word._of(tuple(out)), level
 
 
-def _conjugated_by_powers(ctx: PulldownContext, k: int, w: Word, h: int) -> Word:
-    e = Word((ctx.e(k),))
-    return concat(wpow(e, h), w, wpow(e, -h - ctx.charge_k(w, k)))
+def phi(ctx: PulldownContext, k: int, w: Word, h: int) -> Word:
+    """Pull the word down in direction k, starting from height h: letterwise
+    substitution whose value is e_k^h w e_k^(-h-c), c the direction-k charge
+    of w, and whose direction-k height is at most one."""
+    return _pull(ctx, k, w, h)[0]
 
 
 def check_phi_properties(
@@ -219,23 +214,22 @@ def check_phi_properties(
     concrete instance; returns one verdict per clause."""
     ctx.check_direction(k)
     theta = ctx.theta
+    end = h + charge(theta, w)[k - 1]
+    e = Word((ctx.e(k),))
     pw = phi(ctx, k, w, h)
     results = {}
     results["represents_conjugate"] = dp_equal(
-        ctx.spec, pw, _conjugated_by_powers(ctx, k, w, h)
+        ctx.spec, pw, concat(wpow(e, h), w, wpow(e, -end))
     )
-    hk = heights(theta, w)[k - 1]
-    results["length_bound"] = len(pw) <= 4 * len(w) * (hk + abs(h) + 1)
-    hs = heights(theta, pw)
     ws = heights(theta, w)
+    results["length_bound"] = len(pw) <= 4 * len(w) * (ws[k - 1] + abs(h) + 1)
+    hs = heights(theta, pw)
     results["height_bound"] = hs[k - 1] <= 1 and all(
         hs[i] <= ws[i] for i in range(theta.rank) if i != k - 1
     )
-    results["inverse_identity"] = pw.inverse() == phi(
-        ctx, k, w.inverse(), ctx.charge_k(w, k) + h
-    )
+    results["inverse_identity"] = pw.inverse() == phi(ctx, k, w.inverse(), end)
     results["concatenation_identity"] = phi(ctx, k, concat(w, w2), h) == concat(
-        pw, phi(ctx, k, w2, ctx.charge_k(w, k) + h)
+        pw, phi(ctx, k, w2, end)
     )
     if freely_equal(w, w2):
         results["free_equality_preserved"] = freely_equal(pw, phi(ctx, k, w2, h))
@@ -265,7 +259,7 @@ def letter_conjugation_sequence(
     e, f = ctx.e(k), ctx.f(k)
     ew, fw = Word((e,)), Word((f,))
     xw = Word((let,))
-    t = ctx.letter_charge_k(let.gen, k)
+    t = ctx.theta.charges[let.gen][k - 1]
     tx = let.sign * t  # charge of the letter itself
     editor = WordEditor(ctx.presentation, _phi_letter(ctx, k, let, h))
     target = concat(wpow(ew, h), xw, wpow(ew, -h - tx))
@@ -311,10 +305,11 @@ def conjugation_scheme(
                 ctx, k, let, level
             )
         editor.apply_subsequence(offset, sub)
-        t = let.sign * ctx.letter_charge_k(let.gen, k)
+        t = let.sign * ctx.theta.charges[let.gen][k - 1]
         offset += abs(level) + 1 + abs(level + t)
         level += t
-    editor.free_to(_conjugated_by_powers(ctx, k, w, h))
+    e = Word((ctx.e(k),))
+    editor.free_to(concat(wpow(e, h), w, wpow(e, -level)))
     return editor.sequence()
 
 
@@ -364,8 +359,8 @@ def relator_filling(
     x, y = parts
     fx = ctx.spec.factor_of[x.gen]
     fy = ctx.spec.factor_of[y.gen]
-    tx = ctx.letter_charge_k(x.gen, k)
-    ty = ctx.letter_charge_k(y.gen, k)
+    tx = ctx.theta.charges[x.gen][k - 1]
+    ty = ctx.theta.charges[y.gen][k - 1]
     start = phi(ctx, k, s, h)
     editor = WordEditor(ctx.presentation, start)
     if fx >= 1:
@@ -488,14 +483,13 @@ def pulldown_expression(
     terms: List[Tuple[Word, int, int]] = []
     fills = ctx._fills
     for conj, rel, sign in expr.terms:
-        h = ctx.charge_k(conj, k)
+        prefix, h = _pull(ctx, k, conj, 0)
         part = fills.get((k, rel, sign, h))
         if part is None:
             base = pres.relators[rel]
             signed = base if sign > 0 else base.inverse()
             fill, _ = relator_filling(ctx, k, signed, h)
             part = fills[k, rel, sign, h] = sequence_to_expression(pres, fill)
-        prefix = phi(ctx, k, conj, 0)
         for u, r2, s2 in part.terms:
             terms.append((concat(prefix, u), r2, s2))
     return FillingExpression(correction.terms + tuple(terms))

@@ -419,6 +419,15 @@ def test_null_homotopy_to_power_sequence():
         assert acct.area <= 3 * len(model.null_homotopy(cycle)) * n * n
 
 
+def test_null_homotopy_reads_every_cycle_shape_into_one_cache_entry():
+    model = BBModel(K3, K3_TREE)
+    cycle = (("a", "b"), ("b", "a"))
+    expected = find_null_homotopy(K3, cycle)
+    for shape in (cycle, [["a", "b"], ["b", "a"]], ["ab", "ba"], ("ab", "ba")):
+        assert model.null_homotopy(shape) == expected
+    assert list(model._homotopies) == [cycle]
+
+
 @pytest.mark.parametrize("n", range(-3, 4))
 def test_k3_schemes_within_bounds(n):
     model = BBModel(K3, K3_TREE)

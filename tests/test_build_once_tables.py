@@ -107,7 +107,7 @@ def untabulated_phi(ctx, k, w, h):
     level = h
     for let in w:
         pieces.append(_phi_letter(ctx, k, let, level))
-        level += let.sign * ctx.letter_charge_k(let.gen, k)
+        level += let.sign * ctx.theta.charges[let.gen][k - 1]
     return concat(*pieces)
 
 
@@ -139,7 +139,7 @@ def test_shared_conversions_equal_a_fresh_context(drawn):
         assert ctx._conversions[k, let, level] == letter_conjugation_sequence(
             fresh, k, let, level
         )
-        level += let.sign * ctx.letter_charge_k(let.gen, k)
+        level += let.sign * ctx.theta.charges[let.gen][k - 1]
 
 
 def test_pulldown_fills_both_context_tables():
@@ -149,7 +149,7 @@ def test_pulldown_fills_both_context_tables():
     assert ctx._pulled and ctx._conversions
     for (k, let, level), (letters, step) in ctx._pulled.items():
         assert Word(letters) == _phi_letter(ctx, k, let, level)
-        assert step == let.sign * ctx.letter_charge_k(let.gen, k)
+        assert step == let.sign * ctx.theta.charges[let.gen][k - 1]
 
 
 @pytest.mark.parametrize("text,pulled_first", [

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fillcalc import pulldown
 from fillcalc.oracle import dp_equal
@@ -95,8 +96,27 @@ def test_phi_inverse_letter_exact():
         w = random_word(rng, CTX1, 8)
         h = rng.randint(-2, 2)
         assert phi(CTX1, 1, w, h).inverse() == phi(
-            CTX1, 1, w.inverse(), CTX1.charge_k(w, 1) + h
+            CTX1, 1, w.inverse(), charge(CTX1.theta, w)[0] + h
         )
+
+
+@st.composite
+def pull_inputs(draw):
+    ctx = draw(st.sampled_from((CTX1, CTX2)))
+    letters = st.builds(
+        Letter, st.sampled_from(ctx.spec.all_generators()), st.sampled_from((1, -1))
+    )
+    w = Word(draw(st.lists(letters, max_size=8)))
+    return ctx, draw(st.integers(1, ctx.rank)), w, draw(st.integers(-3, 3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pull_inputs())
+def test_phi_s_walk_ends_at_the_height_of_the_word(drawn):
+    ctx, k, w, h = drawn
+    assert pulldown._pull(ctx, k, w, h) == (
+        phi(ctx, k, w, h), h + charge(ctx.theta, w)[k - 1]
+    )
 
 
 def random_zero_charge_word(rng, ctx, max_len):
@@ -151,7 +171,7 @@ def test_letter_conjugation_all_letters(h):
                     let = Letter(gen, sign)
                     seq = letter_conjugation_sequence(ctx, k, let, h)
                     acct = replay_sequence(ctx.presentation, seq, ctx.theta)
-                    t = sign * ctx.letter_charge_k(gen, k)
+                    t = sign * ctx.theta.charges[gen][k - 1]
                     assert acct.endpoints[0] == phi(ctx, k, Word((let,)), h)
                     assert acct.endpoints[1] == concat(
                         e_power(ctx, k, h), Word((let,)), e_power(ctx, k, -h - t)
@@ -172,7 +192,7 @@ def test_conjugation_scheme_words(h):
             acct = replay_sequence(ctx.presentation, seq, ctx.theta)
             assert acct.endpoints[0] == phi(ctx, k, w, h)
             assert acct.endpoints[1] == concat(
-                e_power(ctx, k, h), w, e_power(ctx, k, -h - ctx.charge_k(w, k))
+                e_power(ctx, k, h), w, e_power(ctx, k, -h - charge(ctx.theta, w)[k - 1])
             )
             hk = heights(ctx.theta, w)[k - 1]
             assert acct.area <= 2 * len(w) * (hk + abs(h) + 1) ** 2
@@ -283,12 +303,38 @@ def reference_pulldown_expression(ctx, k, expr, w):
     for conj, rel, sign in expr.terms:
         base = pres.relators[rel]
         fill, _ = relator_filling(
-            ctx, k, base if sign > 0 else base.inverse(), ctx.charge_k(conj, k)
+            ctx, k, base if sign > 0 else base.inverse(), charge(ctx.theta, conj)[k - 1]
         )
         prefix = phi(ctx, k, conj, 0)
         for u, r2, s2 in sequence_to_expression(pres, fill).terms:
             terms.append((concat(prefix, u), r2, s2))
     return FillingExpression(terms)
+
+
+def test_pulldown_reads_each_height_from_phi_s_walk(monkeypatch):
+    # the pulldown-pipeline criterion's first 40 expressions, drawn as it
+    # draws them: conjugators' heights come from the walk that pulls them
+    # down, so no separate charge walk runs
+    rng = random.Random(13)
+    drawn = []
+    for trial in range(40):
+        ctx = (CTX1, CTX2)[trial % 2]
+        expr = random_expression(rng, ctx, 3, 4)
+        drawn.append((ctx, expr, free_reduce(expr.boundary(ctx.presentation))))
+    assert sum(len(expr.terms) for _, expr, _ in drawn) > 40
+    calls = []
+    original = pulldown.charge
+
+    def counting(theta, w):
+        calls.append(w)
+        return original(theta, w)
+
+    monkeypatch.setattr(pulldown, "charge", counting)
+    for ctx, expr, w in drawn:
+        flatten_expression(ctx, expr, w)
+        for h in (-2, 1):
+            conjugation_scheme(ctx, ctx.rank, w, h)
+    assert calls == []
 
 
 # keys (relator, sign, height): (0, 1, 1) three times, (4, -1, 0) twice
