@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .constructors import IndexedRelator
-from .oracle import SearchBudget, area_exact, two_step_filling
+from .oracle import two_step_filling
 from .rewriting import (
     DerivationSequence,
     GroupPresentation,
@@ -622,10 +622,19 @@ class BBModel:
             if edges[j][1] == edges[j + 1][0]:
                 self.collapse_mutual_paths(editor, q_at[j], self.depth(edges[j][1]), n)
 
+    def _triangle_cycle(self, cycle: Iterable) -> Tuple[Edge, Edge, Edge]:
+        """The caller's cycle read as edges; ValueError unless it is a
+        triangle cycle of the complex."""
+        cyc = self.delta.read_edges(cycle)
+        if cyc not in self.delta.triangle_cycle_set:
+            raise ValueError(f"{cycle!r} is not a triangle cycle")
+        return cyc
+
     def collapse_triangle_power(self, editor: WordEditor, pos: int,
-                                cyc: Tuple[Edge, Edge, Edge], k: int) -> None:
+                                cyc: Iterable, k: int) -> None:
         """Remove x^k y^k z^k at pos for a triangle cycle: convert the last
         block into pairs of the first two, sort, cancel freely."""
+        cyc = self._triangle_cycle(cyc)
         m = abs(k)
         if m == 0:
             return
@@ -641,8 +650,9 @@ class BBModel:
         editor.free_to(Word._of(tuple(letters[:pos] + letters[pos + 4 * m :])))
 
     def insert_triangle_power(self, editor: WordEditor, pos: int,
-                              cyc: Tuple[Edge, Edge, Edge], k: int) -> None:
+                              cyc: Iterable, k: int) -> None:
         """Insert x^k y^k z^k at pos (reverse of the collapse)."""
+        cyc = self._triangle_cycle(cyc)
         if k == 0:
             return
         sub = WordEditor(self.pres, self.power_word(cyc, k))
@@ -652,7 +662,8 @@ class BBModel:
     def power_word(self, cycle: Sequence[Edge], k: int) -> Word:
         return _power_word(self.delta, cycle, k)
 
-    def insert_pair_power(self, editor: WordEditor, pos: int, e: Edge, k: int) -> None:
+    def insert_pair_power(self, editor: WordEditor, pos: int, e, k: int) -> None:
+        (e,) = self.delta.read_edges((e,))
         let = self.delta.edge_letter(e, 1 if k >= 0 else -1)
         bar = self.delta.reverse_letter(let)
         for i in range(abs(k)):
@@ -677,12 +688,13 @@ class BBModel:
                 self.insert_triangle_power(editor, offset, move.edges, k)
             cyc = apply_null_homotopy_move(self.delta, cyc, move)
 
-    def rewrite_pair_to_edge_power(self, editor: WordEditor, pos: int, e: Edge,
+    def rewrite_pair_to_edge_power(self, editor: WordEditor, pos: int, e,
                                    k: int, inverted: bool) -> None:
         """Replace the mutual tree-path pair of the edge's endpoints at pos:
         [Q(tau e, k) P(iota e, k)] becomes e^-k, or, with inverted set,
         [P(iota e, k)^-1 Q(tau e, k)^-1] becomes e^k, by one filling of the
         edge's tree cycle at power k."""
+        (e,) = self.delta.read_edges((e,))
         if k == 0:
             return
         fill = self._pair_fills.get((e, k, inverted))
@@ -948,11 +960,10 @@ def member_scheme(model: BBModel, member: IndexedRelator) -> Tuple[str, object, 
 
 
 def rarea_sample(delta: FlagComplex, tree: SpanningTree, index_bound: int,
-                 budget: Optional[SearchBudget] = None, exact: bool = False,
                  model: Optional[BBModel] = None) -> List[Dict]:
     """Per-index area data for every indexed relator up to the bound: the
-    replayed area of the emitted scheme (an upper bound), the scheme's
-    stated bound, and optionally an exact search verdict."""
+    replayed area of the emitted scheme (an upper bound) and the scheme's
+    stated bound."""
     model = _model_for(delta, tree, model)
     pres = model.pres
     rows: List[Dict] = []
@@ -965,17 +976,12 @@ def rarea_sample(delta: FlagComplex, tree: SpanningTree, index_bound: int,
                 f"{kind} scheme at n={n} replays {acct.endpoints[0]} -> "
                 f"{acct.endpoints[1]}, not {ir.word} -> 1"
             )
-        row = {
+        rows.append({
             "index": ir.index,
             "family": ir.family,
             "kind": kind,
             "word": str(ir.word),
             "upper": acct.area,
             "bound": scheme_bound(model, kind, n),
-        }
-        if exact:
-            res = area_exact(pres, ir.word, budget or SearchBudget())
-            row["exact"] = res.area if res.kind == "area" else None
-            row["exhausted"] = res.kind == "budget-exhausted"
-        rows.append(row)
+        })
     return rows

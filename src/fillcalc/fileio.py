@@ -143,36 +143,34 @@ def load_scheme(data) -> Scheme:
     return Scheme(tuple(out))
 
 
+# each move kind's op name; a move's fields follow in the order its class
+# declares, a letter as its token and every other field as an integer
+_MOVE_OPS = {FreeContract: "contract", FreeExpand: "expand", ApplyRelator: "relator"}
+_OP_MOVES = {op: kind for kind, op in _MOVE_OPS.items()}
+
+
 def _load_move(data, what: str):
     data = _object(data, what)
-    op = _field(data, what, "op", lambda v: v in ("contract", "expand", "relator"),
+    op = _field(data, what, "op", lambda v: isinstance(v, str) and v in _OP_MOVES,
                 "'contract', 'expand' or 'relator'")
-    pos = _int(data, what, "pos")
-    if op == "contract":
-        return FreeContract(pos)
-    if op == "expand":
-        letter = _word(data, what, "letter")
-        if len(letter) != 1:
-            raise ValueError(f"{what} field 'letter' must be a single letter")
-        return FreeExpand(pos, letter[0])
-    return ApplyRelator(
-        pos, *(_int(data, what, name) for name in ("rel", "sign", "rot", "split"))
-    )
+    kind = _OP_MOVES[op]
+    return kind(*(_move_field(data, what, name) for name in kind._fields))
+
+
+def _move_field(data: dict, what: str, name: str):
+    if name != "letter":
+        return _int(data, what, name)
+    letter = _word(data, what, name)
+    if len(letter) != 1:
+        raise ValueError(f"{what} field 'letter' must be a single letter")
+    return letter[0]
 
 
 def _dump_move(move) -> dict:
-    if isinstance(move, FreeContract):
-        return {"op": "contract", "pos": move.pos}
-    if isinstance(move, FreeExpand):
-        return {"op": "expand", "pos": move.pos, "letter": str(move.letter)}
-    return {
-        "op": "relator",
-        "pos": move.pos,
-        "rel": move.rel,
-        "sign": move.sign,
-        "rot": move.rot,
-        "split": move.split,
-    }
+    out = {"op": _MOVE_OPS[type(move)]}
+    for name, value in zip(move._fields, move):
+        out[name] = str(value) if name == "letter" else value
+    return out
 
 
 def load_sequence(data) -> DerivationSequence:

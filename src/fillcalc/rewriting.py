@@ -152,19 +152,21 @@ class GroupPresentation:
         )
 
 
-@dataclass(frozen=True)
-class FreeContract:
+# A move is a named tuple whose first field is its position: it equals the
+# plain tuple of its fields, and splicing and the sequence file format each
+# treat every kind by one rule over its fields.
+
+
+class FreeContract(NamedTuple):
     pos: int
 
 
-@dataclass(frozen=True)
-class FreeExpand:
+class FreeExpand(NamedTuple):
     pos: int
     letter: Letter
 
 
-@dataclass(frozen=True)
-class ApplyRelator:
+class ApplyRelator(NamedTuple):
     """Replace r by s at pos, where r s^-1 is the rotation-rot cyclic
     conjugate of relator^sign and r consists of its first split letters."""
 
@@ -183,7 +185,7 @@ def _relator_halves(pres: GroupPresentation, move: ApplyRelator) -> Tuple[Word, 
     the presentation's table of halves.  A key is computed and stored only
     once it passes the range checks, so a move out of range raises
     ValueError on every call and leaves the table as it was."""
-    key = (move.rel, move.sign, move.rot, move.split)
+    key = move[1:]
     halves = pres._halves.get(key)
     if halves is not None:
         return halves
@@ -667,21 +669,12 @@ def reverse_sequence(
 
 def splice_sequence(seq: DerivationSequence, offset: int) -> Tuple[RewriteMove, ...]:
     """Re-base a sequence's moves to act at a positional offset inside a
-    larger word (the surrounding context is untouched by every move).  The
-    moves are frozen, so at offset 0 they are the sequence's own."""
+    larger word (the surrounding context is untouched by every move): each
+    move keeps its kind and its other fields.  Moves are immutable, so at
+    offset 0 they are the sequence's own."""
     if not offset:
         return seq.moves
-    out: List[RewriteMove] = []
-    for move in seq.moves:
-        if isinstance(move, FreeContract):
-            out.append(FreeContract(move.pos + offset))
-        elif isinstance(move, FreeExpand):
-            out.append(FreeExpand(move.pos + offset, move.letter))
-        else:
-            out.append(
-                ApplyRelator(move.pos + offset, move.rel, move.sign, move.rot, move.split)
-            )
-    return tuple(out)
+    return tuple([type(m)(m.pos + offset, *m[1:]) for m in seq.moves])
 
 
 @dataclass(frozen=True)

@@ -428,6 +428,53 @@ def test_null_homotopy_reads_every_cycle_shape_into_one_cache_entry():
     assert list(model._homotopies) == [cycle]
 
 
+def test_every_model_primitive_reads_its_edges():
+    """Edges and cycles given as lists or strings give the tuple form's
+    moves and share its pair fill; a cycle that is no triangle cycle and an
+    edge that is none are ValueErrors."""
+    model = BBModel(K3, K3_TREE)
+    e, k = ("b", "c"), 2
+    cycle_word = model.power_word(model.edge_cycle(e), k)  # P e^k Q
+    shift = k * model.depth(e[0])
+    pair_words = {
+        False: concat(cycle_word[shift + k:], cycle_word[:shift]),  # Q P
+        True: concat(cycle_word[:shift].inverse(), cycle_word[shift + k:].inverse()),
+    }
+    tri = (("a", "b"), ("b", "c"), ("c", "a"))
+
+    def emitted(primitive, w, *args):
+        editor = WordEditor(model.pres, w)
+        primitive(editor, 0, *args)
+        return editor.sequence()
+
+    rewrite = model.rewrite_pair_to_edge_power
+    for inverted, w in pair_words.items():
+        want = emitted(rewrite, w, e, k, inverted)
+        for shape in (["b", "c"], "bc"):
+            assert emitted(rewrite, w, shape, k, inverted) == want
+    assert list(model._pair_fills) == [(e, k, False), (e, k, True)]
+    for n in (-2, 1):
+        cycles = (tri, [list(x) for x in tri], ["ab", "bc", "ca"])
+        for primitive, w, (tuple_form, *shapes) in [
+            (model.insert_pair_power, EMPTY, (e, ["b", "c"], "bc")),
+            (model.collapse_triangle_power, model.power_word(tri, n), cycles),
+            (model.insert_triangle_power, EMPTY, cycles),
+        ]:
+            want = emitted(primitive, w, tuple_form, n)
+            for shape in shapes:
+                assert emitted(primitive, w, shape, n) == want
+    editor = WordEditor(model.pres, EMPTY)
+    for primitive in (model.collapse_triangle_power, model.insert_triangle_power):
+        with pytest.raises(ValueError, match="is not a triangle cycle"):
+            primitive(editor, 0, (("a", "b"), ("b", "a"), ("a", "b")), 1)
+        with pytest.raises(ValueError, match="is not an edge"):
+            primitive(editor, 0, ("ab", "bc", "cc"), 1)
+    with pytest.raises(ValueError, match="is not an edge"):
+        rewrite(editor, 0, "aa", 1, False)
+    with pytest.raises(ValueError, match="is not an edge"):
+        model.insert_pair_power(editor, 0, "aa", 1)
+
+
 @pytest.mark.parametrize("n", range(-3, 4))
 def test_k3_schemes_within_bounds(n):
     model = BBModel(K3, K3_TREE)
@@ -479,16 +526,12 @@ def test_rarea_sample_k3():
 
 
 def test_rarea_sample_exact_entries():
-    rows = rarea_sample(
-        K3,
-        K3_TREE,
-        0,
-        budget=SearchBudget(max_word_length=14, max_states=300_000),
-        exact=True,
-    )
-    for row in rows:
-        if row["exact"] is not None:
-            assert row["exact"] <= row["upper"]
+    pres = dicks_leary_presentation(K3)
+    budget = SearchBudget(max_word_length=14, max_states=300_000)
+    for row in rarea_sample(K3, K3_TREE, 0):
+        res = area_exact(pres, word(row["word"]), budget)
+        if res.kind == "area":
+            assert res.area <= row["upper"]
 
 
 def test_inverse_cycle_rejects_unexpected_residue(monkeypatch):
@@ -591,8 +634,6 @@ def test_emission_runs_no_area_search(monkeypatch, delta, tree, bound):
     # rarea_sample emits every member's scheme on a fresh model and replays it
     rows = rarea_sample(delta, tree, bound)
     assert rows and all(row["upper"] <= row["bound"] for row in rows)
-    with pytest.raises(AssertionError, match="area search"):
-        rarea_sample(delta, tree, 0, exact=True)
 
 
 @pytest.mark.parametrize("end", [0, 1])

@@ -6,18 +6,22 @@ criterion's 200 filling expressions, in that order.  A change to how moves
 are applied, spliced, mirrored, reversed or turned into expressions must
 leave every emitted move and every term as it was.  A second sha256 pins
 how those flattenings are validated: each accounting and each input's
-conjugator heights."""
+conjugator heights.  A third pins the sequence file format: the JSON that
+``fileio.dump_sequence`` gives each of the 814 sequences, keys in the order
+written."""
 
 import hashlib
+import json
 import random
 
-from fillcalc import bestvina_brady as bb
+from fillcalc import bestvina_brady as bb, fileio
 from fillcalc.pulldown import flatten_expression, standard_context
 from fillcalc.rewriting import FillingExpression, replay_sequence, validate_expression
 from fillcalc.words import EMPTY, Letter, Word, free_reduce
 
 EMITTED_SHA256 = "2fb968b663fafe5b3a6dcc11be8833ae2064cae2fd6f409fc13e59ff5810e4e9"
 VALIDATION_SHA256 = "1e1e5706240ac419a5b8138df8c2fb660e454ac386db9f86e69268d76a4605d7"
+FILE_FORMAT_SHA256 = "c590b9018d1a0206798b8c5cee7f1927bdbb439a8c8065252c216ba47b583131"
 
 
 def bb_schemes():
@@ -72,3 +76,17 @@ def test_validation_accounting_is_pinned():
         digest.update(repr((acct.area, acct.radius, acct.heights, str(start), str(end),
                             expr.expr_heights(ctx.theta))).encode())
     assert digest.hexdigest() == VALIDATION_SHA256
+
+
+def test_sequence_files_are_pinned():
+    digest = hashlib.sha256()
+    ops = set()
+    for seq in bb_schemes():
+        text = json.dumps(fileio.dump_sequence(seq))
+        digest.update(text.encode())
+        data = json.loads(text)
+        assert fileio.load_sequence(data) == seq
+        ops.update(move["op"] for move in data["moves"])
+    # every move kind is written and read back
+    assert ops == {"contract", "expand", "relator"}
+    assert digest.hexdigest() == FILE_FORMAT_SHA256

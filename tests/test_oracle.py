@@ -204,6 +204,12 @@ SEARCHED = {
     "periodic": GroupPresentation(
         ("x", "y", "z"), (word("x x x"), word("x y x y"), word("z"))
     ),
+    # a reversible relator that is not freely reduced, whose orbit of
+    # insertions is not numbered in rotation order: the insertion
+    # y' z' z' x' skips an edge when three letters after it cancel
+    "reversible non-reduced": GroupPresentation(
+        ("x", "y", "z"), (word("y x z z y y'"),)
+    ),
 }
 
 
@@ -234,6 +240,23 @@ def test_moves_match_the_build_then_filter_loop(name, codes, slack):
         assert skipped == 0
     for t, (_, _, full, _, _, _), p in got:
         assert t == coder.reduce(s[:p] + full + s[p:])
+
+
+def test_moves_skip_an_edge_that_a_rotation_numbered_earlier_repeats():
+    # before x z z, the insertion y' z' z' x' leaves y' (three letters after
+    # it cancel, and its ``hi`` is 3); its rotation z' z' x' y', numbered
+    # earlier, reaches y' after x z z
+    coder = oracle._coder(SEARCHED["reversible non-reduced"])
+    s = coder.encode(word("x z z"))
+    ins = coder.encode(word("y' z' z' x'"))
+    e = next(e for e, entry in enumerate(coder.insertions) if entry[0] == ins)
+    assert coder.repeats[e][1] == 3
+    got = list(coder.moves(s, 9))
+    want = list(reference_moves(coder, s, 9))
+    assert skipped_repeats(got, want) > 0
+    at_0 = [edge for edge in want if edge[1][0] == ins and edge[2] == 0]
+    assert [coder.decode(t) for t, _, _ in at_0] == [word("y'")]
+    assert at_0[0] not in got
 
 
 def search_states(pres, w, cap, levels):
